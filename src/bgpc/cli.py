@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input error, 2 not-certified / ambiguous verdict,
 3 feasibility or enumeration-budget refusal. The environment variable
-BGPC_TOL overrides the default rank tolerance for all subcommands.
+BGPC_TOL overrides the default rank tolerance for all subcommands; in
+recovery it cuts the reduced gamma system, never rank(A).
 """
 
 from __future__ import annotations

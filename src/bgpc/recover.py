@@ -2,11 +2,21 @@
 
 Writing gamma_k = 1/lambda_k turns diag(lambda) A X = Y into a homogeneous
 linear system in (vec(X), gamma): each measurement entry contributes
-A[k, :] @ X[:, j] - gamma_k * Y[k, j] = 0. When the instance is
-identifiable the system's null space is one-dimensional and the solver
-reads the solution off the single basis vector; otherwise it reports
-ambiguity. This doubles as an independent oracle for the certificates:
-the two routes share no code beyond the SVD primitive.
+A[k, :] @ X[:, j] - gamma_k * Y[k, j] = 0. That system is never formed.
+Its solutions are exactly the gamma that map every snapshot into range(A),
+i.e. the null space of G = [Q_perp^H diag(y_j)]_j with Q_perp an orthonormal
+basis of range(A)-perp, each paired with X = A^+ diag(gamma) Y plus any
+element of null(A) per snapshot. So the solver takes one SVD of A, one of
+the (n - r)N x n matrix G, and reports the full system's nullity as
+nullity(G) + N (m - r) with r = rank(A). When that nullity is one it reads
+gamma off the single null vector of G; otherwise it reports ambiguity.
+
+Every column of G scales with Y, so the verdict does not depend on the
+units of Y. rank(A) always uses the default rule on A's own singular
+values; an explicit ``tol`` is an absolute cutoff on the singular values
+of G. This doubles as an independent oracle for the certificates: the two
+routes share no code beyond the SVD primitive. ``build_recovery_system``
+keeps the full system as a test oracle for the reduced one.
 """
 
 from __future__ import annotations
@@ -41,6 +51,17 @@ class RecoveryResult:
     support: tuple[int, ...] | None = None
 
 
+def _as_pair(Y, A, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce (Y, A) and check them and ``tol`` before any factorization."""
+    if tol is not None and tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    Y = as_cmatrix(Y, "Y")
+    A = as_cmatrix(A, "A")
+    if A.shape[0] != Y.shape[0]:
+        raise DimensionError("Y and A must have the same number of rows")
+    return Y, A
+
+
 def build_recovery_system(Y, A) -> np.ndarray:
     """Homogeneous system matrix over (vec(X), gamma), shape nN x (mN + n).
 
@@ -48,27 +69,20 @@ def build_recovery_system(Y, A) -> np.ndarray:
     gamma column k; vec is column-major so the X unknowns line up with
     vec(X).
     """
-    Y = as_cmatrix(Y, "Y")
-    A = as_cmatrix(A, "A")
+    Y, A = _as_pair(Y, A)
     n, N = Y.shape
-    if A.shape[0] != n:
-        raise DimensionError("Y and A must have the same number of rows")
-    m = A.shape[1]
-    L = np.zeros((n * N, m * N + n), dtype=np.complex128)
-    for j in range(N):
-        for k in range(n):
-            r = j * n + k
-            L[r, j * m:(j + 1) * m] = A[k, :]
-            L[r, m * N + k] = -Y[k, j]
-    return L
+    minus_diag_y = (-Y.T[:, :, None] * np.eye(n)).reshape(n * N, n)
+    return np.hstack([np.kron(np.eye(N), A), minus_diag_y])
 
 
-def _solve_null(L: np.ndarray, tol: float | None):
-    _, s, Vh = np.linalg.svd(L, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = default_rank_tolerance(L.shape, smax) if tol is None else tol
+def _solve_null(G: np.ndarray, tol: float | None):
+    if G.shape[0] == 0:
+        # no equations: every gamma is a solution
+        return G.shape[1], False, np.eye(G.shape[1], dtype=np.complex128)[0]
+    _, s, Vh = np.linalg.svd(G, full_matrices=True)
+    cutoff = default_rank_tolerance(G.shape, float(s[0])) if tol is None else tol
     rank = int(np.count_nonzero(s > cutoff))
-    null_dim = L.shape[1] - rank
+    null_dim = G.shape[1] - rank
     # a smallest kept singular value within 10x of the cutoff makes the
     # nullity call numerically marginal
     marginal = rank > 0 and float(s[rank - 1]) < 10.0 * cutoff
@@ -76,21 +90,46 @@ def _solve_null(L: np.ndarray, tol: float | None):
     return null_dim, marginal, vec
 
 
+def _solve_gamma(Y: np.ndarray, A: np.ndarray, tol: float | None):
+    """Nullity of the (vec(X), gamma) system, and its solution when unique.
+
+    Returns (null_dim, gamma, X); gamma and X are None unless the null
+    space is one-dimensional and not marginal.
+    """
+    n, N = Y.shape
+    m = A.shape[1]
+    U, sA, Vh = np.linalg.svd(A, full_matrices=True)
+    r = int(np.count_nonzero(sA > default_rank_tolerance(A.shape, float(sA[0]))))
+    # row block j is Q_perp^H diag(y_j), with Q_perp = U[:, r:]
+    G = (U[:, r:].conj().T[None, :, :] * Y.T[:, None, :]).reshape(N * (n - r), n)
+    null_g, marginal, gamma = _solve_null(G, tol)
+    null_dim = null_g + N * (m - r)
+    if null_dim != 1 or marginal:
+        return null_dim, None, None
+    if gamma is None:
+        # only for A = 0 with one column and one snapshot: the single null
+        # direction is gamma = 0 with X spanning null(A)
+        return 1, np.zeros(n, dtype=np.complex128), Vh[r:].conj().T
+    # X = A^+ diag(gamma) Y from the SVD already taken
+    X = Vh[:r].conj().T @ ((U[:, :r].conj().T @ (gamma[:, None] * Y)) / sA[:r, None])
+    return 1, gamma, X
+
+
+def _degenerate(gamma: np.ndarray, gamma_tol: float) -> bool:
+    return np.min(np.abs(gamma)) <= gamma_tol * np.max(np.abs(gamma))
+
+
 def recover(Y, A, tol: float | None = None,
             gamma_tol: float = DEFAULT_GAMMA_TOL) -> RecoveryResult:
     """Recover (lambda, X) from consistent measurements, up to global scale."""
-    L = build_recovery_system(Y, A)
-    m = as_cmatrix(A).shape[1]
-    N = as_cmatrix(Y).shape[1]
-    null_dim, marginal, vec = _solve_null(L, tol)
+    Y, A = _as_pair(Y, A, tol)
+    null_dim, gamma, X = _solve_gamma(Y, A, tol)
     if null_dim == 0:
         raise InconsistentSystemError(
             "recovery system has trivial null space; Y is not consistent with A")
-    if null_dim > 1 or marginal:
+    if gamma is None:
         return RecoveryResult(status=AMBIGUOUS, null_dim=null_dim)
-    X = vec[:m * N].reshape(m, N, order="F")
-    gamma = vec[m * N:]
-    if np.min(np.abs(gamma)) <= gamma_tol * np.max(np.abs(gamma)):
+    if _degenerate(gamma, gamma_tol):
         return RecoveryResult(status=DEGENERATE_GAMMA, null_dim=1, gamma=gamma, X=X)
     return RecoveryResult(status=UNIQUE, null_dim=1, gamma=gamma,
                           lam=1.0 / gamma, X=X)
@@ -107,8 +146,7 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     yield scale-equivalent solutions; the reported support is the first
     (lexicographically minimal) passing one.
     """
-    Y = as_cmatrix(Y, "Y")
-    A = as_cmatrix(A, "A")
+    Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
     m = A.shape[1]
     if not (n > 2 * s):
@@ -120,14 +158,9 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     hits = []
     max_null = 0
     for J in combinations(range(m), s):
-        L = build_recovery_system(Y, A[:, list(J)])
-        null_dim, marginal, vec = _solve_null(L, tol)
+        null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
         max_null = max(max_null, null_dim)
-        if null_dim != 1 or marginal:
-            continue
-        XJ = vec[:s * N].reshape(s, N, order="F")
-        gamma = vec[s * N:]
-        if np.min(np.abs(gamma)) <= gamma_tol * np.max(np.abs(gamma)):
+        if gamma is None or _degenerate(gamma, gamma_tol):
             continue
         X = np.zeros((m, N), dtype=np.complex128)
         X[list(J), :] = XJ

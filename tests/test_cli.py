@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from bgpc.cli import main
-from bgpc.serialize import load_json
+from bgpc.cli import EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, main
+from bgpc.serialize import dump_json, load_json, matrix_to_dict
 
 
 def run(*argv):
@@ -72,6 +72,27 @@ class TestRecoverPipeline:
         run("gen", "--n", "8", "--m", "6", "--N", "2", "--seed", "1",
             "--out", str(inst), "--y-out", str(Y), "--a-out", str(A))
         assert run("recover", "--Y", str(Y), "--A", str(A)) == 2
+
+    def test_negative_env_tolerance_is_input_error(self, tmp_path, monkeypatch):
+        inst = tmp_path / "inst.json"
+        Y = tmp_path / "Y.json"
+        A = tmp_path / "A.json"
+        run("gen", "--n", "8", "--m", "4", "--N", "2", "--seed", "1",
+            "--out", str(inst), "--y-out", str(Y), "--a-out", str(A))
+        monkeypatch.setenv("BGPC_TOL", "-1")
+        assert run("recover", "--Y", str(Y), "--A", str(A)) == EXIT_INPUT_ERROR
+
+    def test_degenerate_gamma_not_certified(self, tmp_path,
+                                            degenerate_gamma_pair):
+        Ym, Am = degenerate_gamma_pair
+        Y = tmp_path / "Y.json"
+        A = tmp_path / "A.json"
+        dump_json(matrix_to_dict(Ym), Y)
+        dump_json(matrix_to_dict(Am), A)
+        out = tmp_path / "res.json"
+        assert run("recover", "--Y", str(Y), "--A", str(A),
+                   "--out", str(out)) == EXIT_NOT_CERTIFIED
+        assert load_json(out)["status"] == "DegenerateGamma"
 
     def test_recover_sparse(self, tmp_path):
         inst = tmp_path / "inst.json"

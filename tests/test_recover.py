@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bgpc import (AMBIGUOUS, UNIQUE, align_scale, build_recovery_system,
-                  forward, random_instance, recover, recover_joint_sparse)
+from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale,
+                  build_recovery_system, forward, numeric_rank,
+                  random_instance, recover, recover_joint_sparse)
 from bgpc.errors import BudgetExceededError, DimensionError
 
 
@@ -20,6 +22,17 @@ class TestBuildSystem:
     def test_shape(self):
         inst = random_instance(8, 4, 2, seed=1)
         assert build_recovery_system(forward(inst), inst.A).shape == (16, 16)
+
+    def test_matches_entrywise_definition(self):
+        inst = random_instance(7, 3, 4, seed=17)
+        Y, A = forward(inst), inst.A
+        n, m, N = 7, 3, 4
+        ref = np.zeros((n * N, m * N + n), dtype=np.complex128)
+        for j in range(N):
+            for k in range(n):
+                ref[j * n + k, j * m:(j + 1) * m] = A[k, :]
+                ref[j * n + k, m * N + k] = -Y[k, j]
+        np.testing.assert_array_equal(build_recovery_system(Y, A), ref)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -65,6 +78,125 @@ class TestRecover:
         res = recover(forward(inst), inst.A)
         assert res.status == UNIQUE
         np.testing.assert_allclose(res.lam * res.gamma, 1.0, atol=1e-8)
+
+    def test_degenerate_gamma(self, degenerate_gamma_pair):
+        res = recover(*degenerate_gamma_pair)
+        assert res.status == DEGENERATE_GAMMA and res.null_dim == 1
+        assert abs(res.gamma[0]) <= 1e-8 * np.max(np.abs(res.gamma))
+        assert res.lam is None
+
+    def test_rank_deficient_dictionary_ambiguous(self):
+        inst = random_instance(10, 4, 3, seed=14)
+        A = inst.A.copy()
+        A[:, 3] = A[:, 0]
+        Y = inst.lambda0[:, None] * (A @ inst.X0)
+        res = recover(Y, A)
+        # one null(A) direction per snapshot on top of the gamma line
+        assert res.status == AMBIGUOUS and res.null_dim == 1 + 3
+
+    def test_explicit_tol_cuts_gamma_system_not_A(self):
+        # A's singular values (~1e-6) sit far below tol, G's (~0.1) above it
+        inst = random_instance(8, 4, 2, seed=2)
+        res = recover(forward(inst), inst.A * 1e-6, tol=1e-3)
+        assert res.status == UNIQUE
+        assert align_scale(res.X, inst.X0).relative_error <= 1e-8
+
+    @pytest.mark.parametrize("call", [
+        lambda Y, A: recover(Y, A, tol=-1.0),
+        lambda Y, A: recover_joint_sparse(Y, A, 2, tol=-1.0),
+    ])
+    def test_negative_tolerance_rejected(self, call, monkeypatch):
+        inst = random_instance(8, 4, 2, seed=15)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("factorized before validating tol")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(forward(inst), inst.A)
+
+
+def oracle_null_dim(Y, A):
+    L = build_recovery_system(Y, A)
+    return L.shape[1] - numeric_rank(L).numeric_rank
+
+
+def rank_deficient(inst):
+    A = inst.A.copy()
+    A[:, -1] = A[:, 0]
+    return inst.lambda0[:, None] * (A @ inst.X0), A
+
+
+class TestReducedSystemMatchesFullSystem:
+    """recover's nullity equals the full (vec X, gamma) system's, seed by seed."""
+
+    @pytest.mark.parametrize("n,m,N,make", [
+        (8, 4, 2, None),            # identifiable
+        (12, 9, 3, None),           # identifiable, near the threshold
+        (8, 6, 2, None),            # below the threshold
+        (10, 7, 1, None),           # one snapshot
+        (10, 4, 3, rank_deficient),
+        (9, 5, 2, rank_deficient),
+    ])
+    def test_null_dim(self, n, m, N, make):
+        for seed in range(20):
+            inst = random_instance(n, m, N, seed=seed)
+            Y, A = (forward(inst), inst.A) if make is None else make(inst)
+            assert recover(Y, A).null_dim == oracle_null_dim(Y, A), seed
+
+    def test_square_dictionary_leaves_gamma_free(self):
+        rng = np.random.default_rng(16)
+        A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        Y = rng.standard_normal((5, 2)) + 0j
+        res = recover(Y, A)
+        assert res.status == AMBIGUOUS
+        assert res.null_dim == oracle_null_dim(Y, A) == 5
+
+    def test_zero_dictionary_column(self):
+        Y = np.arange(1.0, 7.0)[:, None]
+        A = np.zeros((6, 1))
+        res = recover(Y, A)
+        assert res.null_dim == oracle_null_dim(Y, A) == 1
+        assert res.status == DEGENERATE_GAMMA
+        np.testing.assert_array_equal(res.gamma, 0.0)
+
+
+def shapes():
+    return st.integers(3, 16).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1), st.integers(1, 4)))
+
+
+class TestModelSymmetries:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shape=shapes(), seed=st.integers(0, 2 ** 31 - 1),
+           k=st.integers(-150, 150))
+    def test_units_of_Y(self, shape, seed, k):
+        inst = random_instance(*shape, seed=seed)
+        Y = forward(inst)
+        ref = recover(Y, inst.A)
+        res = recover(Y * 10.0 ** k, inst.A)
+        assert (res.status, res.null_dim) == (ref.status, ref.null_dim)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shape=shapes(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_column_permutation_of_A(self, shape, seed):
+        inst = random_instance(*shape, seed=seed)
+        Y = forward(inst)
+        perm = np.random.default_rng(seed).permutation(inst.m)
+        ref = recover(Y, inst.A)
+        res = recover(Y, inst.A[:, perm])
+        assert res.status == ref.status
+        if ref.status == UNIQUE:
+            err = align_scale(res.lam[:, None], ref.lam[:, None]).relative_error
+            assert err <= 1e-8
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shape=shapes(), seed=st.integers(0, 2 ** 31 - 1),
+           k=st.integers(-150, 150))
+    def test_positive_scale_of_A(self, shape, seed, k):
+        inst = random_instance(*shape, seed=seed)
+        Y = forward(inst)
+        ref = recover(Y, inst.A)
+        assert recover(Y, inst.A * 10.0 ** k).status == ref.status
 
 
 class TestRecoverJointSparse:
