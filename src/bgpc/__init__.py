@@ -14,8 +14,7 @@ from .certify import (CertificateReport, IDENTIFIABLE, JOINT_SPARSE,
 from .construct import (ConstructedInstance, VerificationRecord,
                         construct_claim1, construct_claim2, select_columns,
                         verify_claim1_rank)
-from .cxmat import (RankResult, dft_matrix, kronecker, left_null_space,
-                    null_space, numeric_rank)
+from .cxmat import RankResult, dft_matrix, numeric_rank
 from .errors import (BgpcError, BudgetExceededError, DimensionError,
                      InconsistentSystemError, InfeasibleConstructionError)
 from .experiment import PhaseCell, SweepConfig, run_sweep, write_csv, write_json
@@ -35,10 +34,9 @@ __all__ = [
     "build_D_block", "build_D_stack", "build_recovery_system", "build_stacked",
     "build_stacked_restricted", "certify_joint_sparse", "certify_subspace",
     "construct_claim1", "construct_claim2", "dft_matrix", "forward",
-    "kronecker", "left_null_space", "min_samples_joint_sparse",
-    "min_samples_subspace", "null_space", "numeric_rank", "random_instance",
-    "recover", "recover_joint_sparse", "run_sweep", "select_columns",
-    "verify_claim1_rank", "write_csv", "write_json",
+    "min_samples_joint_sparse", "min_samples_subspace", "numeric_rank",
+    "random_instance", "recover", "recover_joint_sparse", "run_sweep",
+    "select_columns", "verify_claim1_rank", "write_csv", "write_json",
 ]
 
 __version__ = "0.1.0"

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .cxmat import EPS, as_cmatrix, numeric_rank
-from .errors import BudgetExceededError, DimensionError
+from .errors import DimensionError
+from .model import DEFAULT_CELL_BUDGET, check_cell_budget
 
 SUBSPACE = "Subspace"
 JOINT_SPARSE = "JointSparse"
 
 IDENTIFIABLE = "IdentifiableUpToScaling"
 NOT_CERTIFIED = "NotCertified"
-
-DEFAULT_CELL_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -53,28 +51,28 @@ def build_D_block(a_row, X0) -> np.ndarray:
     multiplied on the right by a_row. By construction it annihilates
     the column-major vectorization of X0.
     """
-    a = np.asarray(a_row, dtype=np.complex128).reshape(-1)
-    X0 = as_cmatrix(X0, "X0")
-    m, N = X0.shape
-    if a.shape[0] != m:
-        raise DimensionError("a_row length must match rows of X0")
-    if N < 2:
-        raise DimensionError("build_D_block requires N >= 2")
-    w = a @ X0  # length N
-    C = np.zeros((N - 1, N), dtype=np.complex128)
-    C[:, 0] = -w[1:]
-    C[np.arange(N - 1), np.arange(1, N)] = w[0]
-    return np.kron(C, a[None, :])
+    return build_D_stack(np.asarray(a_row, dtype=np.complex128).reshape(1, -1), X0)
 
 
 def build_D_stack(A, X0) -> np.ndarray:
-    """All n cross-ratio blocks stacked, shape n(N-1) x mN."""
+    """All n cross-ratio blocks C_k kron a_k stacked, shape n(N-1) x mN.
+
+    Block k is :func:`build_D_block` of row a_k = A[k, :]; the left factors
+    C_k come from W = A @ X0 and all n blocks are filled in one broadcast.
+    """
     A = as_cmatrix(A, "A")
     X0 = as_cmatrix(X0, "X0")
     n, m = A.shape
+    N = X0.shape[1]
     if X0.shape[0] != m:
-        raise DimensionError("A and X0 dimensions are inconsistent")
-    return np.vstack([build_D_block(A[k, :], X0) for k in range(n)])
+        raise DimensionError("rows of X0 must match columns of A")
+    if N < 2:
+        raise DimensionError("cross-ratio blocks require N >= 2")
+    W = A @ X0
+    C = np.zeros((n, N - 1, N), dtype=np.complex128)
+    C[:, :, 0] = -W[:, 1:]
+    C[:, np.arange(N - 1), np.arange(1, N)] = W[:, :1]
+    return (C[:, :, :, None] * A[:, None, None, :]).reshape(n * (N - 1), N * m)
 
 
 def build_stacked(A, X0) -> np.ndarray:
@@ -100,7 +98,34 @@ def build_stacked_restricted(A, X0, J) -> np.ndarray:
     return build_stacked(A[:, J], X0[J, :])
 
 
-def _lambda_uniqueness(A, X0, lambda0) -> tuple[bool, float]:
+def _unit_scale(M: np.ndarray) -> np.ndarray:
+    """M times the power of two that puts its largest modulus in [0.5, 1).
+
+    Scaling by a power of two is exact, so only the units of M change.
+    """
+    _, e = np.frexp(np.max(np.abs(M)))
+    return np.ldexp(np.ascontiguousarray(M).view(np.float64), -e).view(np.complex128)
+
+
+def _normalized(A, X0, lambda0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check an instance and rescale A, X0 and lambda0 each to unit size.
+
+    (A c, X0 d, lambda0 / (c d)) gives the same Y for any scalars c, d, but
+    the stacked matrix is quadratic in A and its first row does not depend
+    on A at all, so without this step its rank call depends on the units
+    of A (and condition 2 underflows at extreme magnitudes of X0).
+    """
+    A = as_cmatrix(A, "A")
+    X0 = as_cmatrix(X0, "X0")
+    lambda0 = np.asarray(lambda0, dtype=np.complex128).reshape(-1)
+    if lambda0.shape[0] != A.shape[0] or X0.shape[0] != A.shape[1]:
+        raise DimensionError("inconsistent instance dimensions")
+    if X0.shape[1] < 2:
+        raise DimensionError("certificate requires N >= 2 snapshots")
+    return _unit_scale(A), _unit_scale(X0), _unit_scale(lambda0)
+
+
+def _lambda_uniqueness(A, X0, lambda0) -> bool:
     """Condition 2: no zero rows in A @ X0 and no zero gain entries.
 
     Exact zeros never survive floating-point products, so "zero" means
@@ -108,25 +133,23 @@ def _lambda_uniqueness(A, X0, lambda0) -> tuple[bool, float]:
     """
     AX = A @ X0
     m = A.shape[1]
-    row_tol = EPS * np.sqrt(m) * float(np.max(np.abs(AX))) if AX.size else 0.0
-    lam_tol = EPS * np.sqrt(m) * float(np.max(np.abs(lambda0))) if lambda0.size else 0.0
+    row_tol = EPS * np.sqrt(m) * float(np.max(np.abs(AX)))
+    lam_tol = EPS * np.sqrt(m) * float(np.max(np.abs(lambda0)))
     rows_ok = bool(np.all(np.linalg.norm(AX, axis=1) > row_tol))
     lam_ok = bool(np.all(np.abs(lambda0) > lam_tol))
-    return rows_ok and lam_ok, row_tol
+    return rows_ok and lam_ok
 
 
 def certify_subspace(A, X0, lambda0, tol: float | None = None) -> CertificateReport:
-    """Decide the subspace-model certificate for (A, X0, lambda0)."""
-    A = as_cmatrix(A, "A")
-    X0 = as_cmatrix(X0, "X0")
-    lambda0 = np.asarray(lambda0, dtype=np.complex128).reshape(-1)
-    n, m = A.shape
-    N = X0.shape[1]
-    if lambda0.shape[0] != n or X0.shape[0] != m:
-        raise DimensionError("inconsistent instance dimensions")
-    if N < 2:
-        raise DimensionError("certificate requires N >= 2 snapshots")
-    cond2, _ = _lambda_uniqueness(A, X0, lambda0)
+    """Decide the subspace-model certificate for (A, X0, lambda0).
+
+    A, X0 and lambda0 are first scaled to unit size by exact powers of two,
+    so the verdict does not depend on their units; an explicit ``tol`` cuts
+    the singular values of the certificate matrix built from the scaled pair.
+    """
+    A, X0, lambda0 = _normalized(A, X0, lambda0)
+    m, N = X0.shape
+    cond2 = _lambda_uniqueness(A, X0, lambda0)
     rr = numeric_rank(build_stacked(A, X0), tol=tol)
     cond1 = rr.numeric_rank == m * N
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
@@ -141,13 +164,6 @@ def certify_subspace(A, X0, lambda0, tol: float | None = None) -> CertificateRep
     )
 
 
-def row_support(X0, atol: float = 0.0) -> tuple[int, ...]:
-    """Indices of rows of X0 with norm strictly above atol (0-based)."""
-    X0 = as_cmatrix(X0, "X0")
-    norms = np.linalg.norm(X0, axis=1)
-    return tuple(int(i) for i in np.flatnonzero(norms > atol))
-
-
 def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
                          max_cells: int = DEFAULT_CELL_BUDGET) -> CertificateReport:
     """Joint-sparsity certificate: the rank test over every candidate support.
@@ -155,53 +171,37 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     The row support J0 of X0 must have size s. For every s-subset J1 of the
     dictionary columns (lexicographic order), the restriction to J0 union J1
     must have full column rank |J0 union J1| * N; the loop exits on the
-    first failing subset, which is recorded in the report.
+    first failing subset, which is recorded in the report. A, X0 and
+    lambda0 are scaled to unit size first, as in :func:`certify_subspace`.
     """
-    A = as_cmatrix(A, "A")
-    X0 = as_cmatrix(X0, "X0")
-    lambda0 = np.asarray(lambda0, dtype=np.complex128).reshape(-1)
+    A, X0, lambda0 = _normalized(A, X0, lambda0)
     n, m = A.shape
     N = X0.shape[1]
-    if N < 2:
-        raise DimensionError("certificate requires N >= 2 snapshots")
     if not (n > 2 * s):
         raise DimensionError("joint-sparsity certificate requires n > 2s")
-    J0 = row_support(X0)
+    J0 = set(np.flatnonzero(np.any(X0 != 0, axis=1)).tolist())
     if len(J0) != s:
         raise DimensionError(f"X0 row support has size {len(J0)}, expected s={s}")
-    n_cells = comb(m, s)
-    if n_cells > max_cells:
-        raise BudgetExceededError(
-            f"support enumeration needs {n_cells} cells, budget is {max_cells}")
+    check_cell_budget(m, s, max_cells)
 
-    cond2, _ = _lambda_uniqueness(A, X0, lambda0)
-    cond1 = True
+    cond2 = _lambda_uniqueness(A, X0, lambda0)
     failing = None
-    stacked_rank = 0
-    required = 0
-    tol_used = 0.0
-    checked = 0
-    J0set = set(J0)
-    for J1 in combinations(range(m), s):
-        J = sorted(J0set | set(J1))
+    for checked, J1 in enumerate(combinations(range(m), s), start=1):
+        J = sorted(J0 | set(J1))
         rr = numeric_rank(build_stacked_restricted(A, X0, J), tol=tol)
-        checked += 1
-        stacked_rank = rr.numeric_rank
-        required = len(J) * N
-        tol_used = rr.tolerance_used
-        if rr.numeric_rank != required:
-            cond1 = False
+        if rr.numeric_rank != len(J) * N:
             failing = tuple(J1)
             break
+    cond1 = failing is None
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
     return CertificateReport(
         mode=JOINT_SPARSE,
         verdict=verdict,
         condition1_rank_full=cond1,
         condition2_lambda_unique=cond2,
-        stacked_rank=stacked_rank,
-        required_rank=required,
-        tolerance_used=tol_used,
+        stacked_rank=rr.numeric_rank,
+        required_rank=len(J) * N,
+        tolerance_used=rr.tolerance_used,
         support_cells_checked=checked,
         failing_support=failing,
     )

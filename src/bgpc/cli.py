@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--instance", required=True)
     cs.add_argument("--s", type=int, default=None)
     cs.add_argument("--tol", type=float, default=None)
-    cs.add_argument("--max-cells", type=int, default=certify.DEFAULT_CELL_BUDGET)
+    cs.add_argument("--max-cells", type=int, default=model.DEFAULT_CELL_BUDGET)
     cs.add_argument("--out", default=None)
     cs.set_defaults(func=_cmd_certify_sparse)
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--A", required=True)
     rs.add_argument("--s", type=int, required=True)
     rs.add_argument("--tol", type=float, default=None)
-    rs.add_argument("--max-cells", type=int, default=10 ** 6)
+    rs.add_argument("--max-cells", type=int, default=model.DEFAULT_CELL_BUDGET)
     rs.add_argument("--truth", default=None)
     rs.add_argument("--out", default=None)
     rs.set_defaults(func=_cmd_recover_sparse)

@@ -1,8 +1,10 @@
 """Dense complex-matrix foundation.
 
 Everything downstream (certificates, constructions, recovery) runs through
-the helpers in this module: DFT matrices, Kronecker products, and a single
-SVD-based tolerance story for numeric rank and null spaces.
+the helpers in this module: DFT matrices and the one rank decision. Every
+numeric rank in the package comes from :func:`rank_decision`, which owns
+the default cutoff ``max(rows, cols) * eps * sigma_max``, the check that an
+explicit cutoff is nonnegative, and the flag for a marginal call.
 
 Matrices are plain ``numpy.ndarray`` of dtype complex128, treated as
 immutable values: every operation returns a fresh array and never mutates
@@ -40,16 +42,35 @@ class RankResult:
 
     ``numeric_rank`` counts the singular values strictly above
     ``tolerance_used``; ``singular_values`` are sorted nonincreasing.
+    ``marginal`` flags a smallest kept singular value within 10x of the
+    cutoff, where the rank call is numerically borderline.
     """
 
     numeric_rank: int
     singular_values: np.ndarray
     tolerance_used: float
+    marginal: bool
 
 
-def default_rank_tolerance(shape: tuple[int, int], smax: float) -> float:
-    """Standard conservative rank cutoff: max(rows, cols) * eps * sigma_max."""
-    return max(shape) * EPS * smax
+def check_tolerance(tol: float | None) -> None:
+    """Reject a negative explicit cutoff; None selects the default rule."""
+    if tol is not None and tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+
+
+def rank_decision(s: np.ndarray, shape: tuple[int, int],
+                  tol: float | None = None) -> RankResult:
+    """Rank of a matrix of ``shape`` from its nonincreasing singular values.
+
+    When ``tol`` is None the cutoff is max(rows, cols) * eps * sigma_max.
+    """
+    check_tolerance(tol)
+    if tol is None:
+        tol = max(shape) * EPS * (float(s[0]) if s.size else 0.0)
+    rank = int(np.count_nonzero(s > tol))
+    marginal = rank > 0 and float(s[rank - 1]) < 10.0 * tol
+    return RankResult(numeric_rank=rank, singular_values=s,
+                      tolerance_used=float(tol), marginal=marginal)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -63,47 +84,7 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(j, j) / n)
 
 
-def kronecker(L, R) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is L[i, j] * R."""
-    L = as_cmatrix(L, "L")
-    R = as_cmatrix(R, "R")
-    return np.kron(L, R)
-
-
 def numeric_rank(M, tol: float | None = None) -> RankResult:
-    """Numeric rank of M via SVD.
-
-    When ``tol`` is None the cutoff is max(rows, cols) * eps * sigma_max.
-    """
+    """Numeric rank of M: one SVD, then :func:`rank_decision`."""
     M = as_cmatrix(M)
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    if tol is None:
-        tol = default_rank_tolerance(M.shape, smax)
-    elif tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    rank = int(np.count_nonzero(s > tol))
-    return RankResult(numeric_rank=rank, singular_values=s, tolerance_used=float(tol))
-
-
-def null_space(M, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the right null space, as columns of a 2-D array.
-
-    The rank cutoff follows the same rule as :func:`numeric_rank`; the
-    returned array has shape (cols, cols - rank) and may have zero columns.
-    """
-    M = as_cmatrix(M)
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    if tol is None:
-        tol = default_rank_tolerance(M.shape, smax)
-    elif tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    rank = int(np.count_nonzero(s > tol))
-    return Vh[rank:].conj().T
-
-
-def left_null_space(M, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the left null space (null space of M*)."""
-    M = as_cmatrix(M)
-    return null_space(M.conj().T, tol=tol)
+    return rank_decision(np.linalg.svd(M, compute_uv=False), M.shape, tol)

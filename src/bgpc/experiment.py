@@ -13,14 +13,14 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .certify import (IDENTIFIABLE, JOINT_SPARSE, SUBSPACE,
                       certify_joint_sparse, certify_subspace)
-from .errors import DimensionError
-from .model import (forward, min_samples_joint_sparse, min_samples_subspace,
+from .errors import BudgetExceededError, DimensionError
+from .model import (DEFAULT_CELL_BUDGET, check_cell_budget, forward,
+                    min_samples_joint_sparse, min_samples_subspace,
                     random_instance)
 from .recover import UNIQUE, recover
 
@@ -53,7 +53,7 @@ class SweepConfig:
     m: int | None = None           # dictionary size, JointSparse mode only
     check_recovery: bool = False
     record_timing: bool = True
-    max_cells: int = 10 ** 6
+    max_cells: int = DEFAULT_CELL_BUDGET
 
     def __post_init__(self):
         if self.mode not in (SUBSPACE, JOINT_SPARSE):
@@ -84,7 +84,9 @@ def _cell_skip_reason(cfg: SweepConfig, dim: int, N: int) -> str:
             return "requires n > 2s"
         if dim > cfg.m:
             return "requires s <= m"
-        if comb(cfg.m, dim) > cfg.max_cells:
+        try:
+            check_cell_budget(cfg.m, dim, cfg.max_cells)
+        except BudgetExceededError:
             return "enumeration budget exceeded"
     return ""
 

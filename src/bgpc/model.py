@@ -12,11 +12,15 @@ converts to the 1-based on-disk convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .cxmat import as_cmatrix
-from .errors import DimensionError
+from .errors import BudgetExceededError, DimensionError
+
+# default cap on the s-subsets a joint-sparse support enumeration may visit
+DEFAULT_CELL_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,14 @@ def min_samples_joint_sparse(n: int, s: int) -> int:
     if not (n > 2 * s and s >= 1):
         raise DimensionError("requires n > 2s >= 2")
     return -((n - 1) // -(n - 2 * s))
+
+
+def check_cell_budget(m: int, s: int, max_cells: int) -> None:
+    """Refuse an enumeration of all s-subsets of m columns above max_cells."""
+    n_cells = comb(m, s)
+    if n_cells > max_cells:
+        raise BudgetExceededError(
+            f"support enumeration needs {n_cells} cells, budget is {max_cells}")
 
 
 def align_scale(estimate, truth) -> ScaleAlignment:

@@ -15,21 +15,21 @@ Every column of G scales with Y, so the verdict does not depend on the
 units of Y. rank(A) always uses the default rule on A's own singular
 values; an explicit ``tol`` is an absolute cutoff on the singular values
 of G. This doubles as an independent oracle for the certificates: the two
-routes share no code beyond the SVD primitive. ``build_recovery_system``
-keeps the full system as a test oracle for the reduced one.
+routes share no code beyond the SVD and ``cxmat.rank_decision``.
+``build_recovery_system`` keeps the full system as a test oracle for the
+reduced one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .cxmat import as_cmatrix, default_rank_tolerance
-from .errors import BudgetExceededError, DimensionError, InconsistentSystemError
-from .model import align_scale
+from .cxmat import as_cmatrix, check_tolerance, rank_decision
+from .errors import DimensionError, InconsistentSystemError
+from .model import DEFAULT_CELL_BUDGET, align_scale, check_cell_budget
 
 UNIQUE = "Unique"
 AMBIGUOUS = "Ambiguous"
@@ -53,8 +53,7 @@ class RecoveryResult:
 
 def _as_pair(Y, A, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Coerce (Y, A) and check them and ``tol`` before any factorization."""
-    if tol is not None and tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     Y = as_cmatrix(Y, "Y")
     A = as_cmatrix(A, "A")
     if A.shape[0] != Y.shape[0]:
@@ -75,21 +74,6 @@ def build_recovery_system(Y, A) -> np.ndarray:
     return np.hstack([np.kron(np.eye(N), A), minus_diag_y])
 
 
-def _solve_null(G: np.ndarray, tol: float | None):
-    if G.shape[0] == 0:
-        # no equations: every gamma is a solution
-        return G.shape[1], False, np.eye(G.shape[1], dtype=np.complex128)[0]
-    _, s, Vh = np.linalg.svd(G, full_matrices=True)
-    cutoff = default_rank_tolerance(G.shape, float(s[0])) if tol is None else tol
-    rank = int(np.count_nonzero(s > cutoff))
-    null_dim = G.shape[1] - rank
-    # a smallest kept singular value within 10x of the cutoff makes the
-    # nullity call numerically marginal
-    marginal = rank > 0 and float(s[rank - 1]) < 10.0 * cutoff
-    vec = Vh[rank].conj() if null_dim >= 1 else None
-    return null_dim, marginal, vec
-
-
 def _solve_gamma(Y: np.ndarray, A: np.ndarray, tol: float | None):
     """Nullity of the (vec(X), gamma) system, and its solution when unique.
 
@@ -99,17 +83,20 @@ def _solve_gamma(Y: np.ndarray, A: np.ndarray, tol: float | None):
     n, N = Y.shape
     m = A.shape[1]
     U, sA, Vh = np.linalg.svd(A, full_matrices=True)
-    r = int(np.count_nonzero(sA > default_rank_tolerance(A.shape, float(sA[0]))))
-    # row block j is Q_perp^H diag(y_j), with Q_perp = U[:, r:]
+    r = rank_decision(sA, A.shape).numeric_rank
+    # row block j is Q_perp^H diag(y_j), with Q_perp = U[:, r:]; when r = n
+    # G has no rows and every gamma solves it
     G = (U[:, r:].conj().T[None, :, :] * Y.T[:, None, :]).reshape(N * (n - r), n)
-    null_g, marginal, gamma = _solve_null(G, tol)
-    null_dim = null_g + N * (m - r)
-    if null_dim != 1 or marginal:
+    _, sG, VhG = np.linalg.svd(G, full_matrices=True)
+    rr = rank_decision(sG, G.shape, tol)
+    null_dim = n - rr.numeric_rank + N * (m - r)
+    if null_dim != 1 or rr.marginal:
         return null_dim, None, None
-    if gamma is None:
+    if rr.numeric_rank == n:
         # only for A = 0 with one column and one snapshot: the single null
         # direction is gamma = 0 with X spanning null(A)
         return 1, np.zeros(n, dtype=np.complex128), Vh[r:].conj().T
+    gamma = VhG[rr.numeric_rank].conj()
     # X = A^+ diag(gamma) Y from the SVD already taken
     X = Vh[:r].conj().T @ ((U[:, :r].conj().T @ (gamma[:, None] * Y)) / sA[:r, None])
     return 1, gamma, X
@@ -137,7 +124,7 @@ def recover(Y, A, tol: float | None = None,
 
 def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
                          gamma_tol: float = DEFAULT_GAMMA_TOL,
-                         max_cells: int = 10 ** 6) -> RecoveryResult:
+                         max_cells: int = DEFAULT_CELL_BUDGET) -> RecoveryResult:
     """Recovery under a shared s-sparse row support, support unknown.
 
     Tries every s-subset of dictionary columns in lexicographic order and
@@ -151,10 +138,7 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     m = A.shape[1]
     if not (n > 2 * s):
         raise DimensionError("joint-sparse recovery requires n > 2s")
-    n_cells = comb(m, s)
-    if n_cells > max_cells:
-        raise BudgetExceededError(
-            f"support enumeration needs {n_cells} cells, budget is {max_cells}")
+    check_cell_budget(m, s, max_cells)
     hits = []
     max_null = 0
     for J in combinations(range(m), s):

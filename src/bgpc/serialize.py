@@ -10,6 +10,7 @@ same double.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,6 +19,16 @@ from .construct import ConstructedInstance, VerificationRecord
 from .errors import DimensionError
 from .model import BGPCInstance
 from .recover import RecoveryResult
+
+
+def _one_based(idx) -> list[int] | None:
+    """0-based index tuple to its 1-based on-disk list; None passes through."""
+    return None if idx is None else [int(j) + 1 for j in idx]
+
+
+def _zero_based(idx) -> tuple[int, ...] | None:
+    """1-based on-disk index list to its 0-based tuple; None passes through."""
+    return None if idx is None else tuple(int(j) - 1 for j in idx)
 
 
 def matrix_to_dict(M: np.ndarray) -> dict:
@@ -63,7 +74,7 @@ def instance_to_dict(inst: BGPCInstance) -> dict:
         "A": matrix_to_dict(inst.A),
     }
     if inst.support is not None:
-        d["support"] = [j + 1 for j in inst.support]
+        d["support"] = _one_based(inst.support)
     return d
 
 
@@ -75,46 +86,35 @@ def instance_from_dict(d: dict) -> BGPCInstance:
     lambda0 = matrix_from_dict(d["lambda0"], "lambda0").reshape(-1)
     X0 = matrix_from_dict(d["X0"], "X0")
     A = matrix_from_dict(d["A"], "A")
-    support = None
-    if d.get("support") is not None:
-        support = tuple(int(j) - 1 for j in d["support"])
     return BGPCInstance(n=n, m=m, N=N, lambda0=lambda0, X0=X0, A=A,
-                        support=support)
+                        support=_zero_based(d.get("support")))
 
 
 def report_to_dict(rep: CertificateReport) -> dict:
-    return {
-        "mode": rep.mode,
-        "verdict": rep.verdict,
-        "condition1_rank_full": rep.condition1_rank_full,
-        "condition2_lambda_unique": rep.condition2_lambda_unique,
-        "stacked_rank": rep.stacked_rank,
-        "required_rank": rep.required_rank,
-        "tolerance_used": rep.tolerance_used,
-        "support_cells_checked": rep.support_cells_checked,
-        "failing_support": (None if rep.failing_support is None
-                            else [j + 1 for j in rep.failing_support]),
-    }
+    return {**asdict(rep), "failing_support": _one_based(rep.failing_support)}
 
 
 def constructed_to_dict(ci: ConstructedInstance) -> dict:
-    return {
+    d = {
         "n": ci.n,
         "m": ci.m,
         "N": ci.N,
         "X0": matrix_to_dict(ci.X0),
         "A": matrix_to_dict(ci.A),
-        "selected_cols": [j + 1 for j in ci.selected_cols],
-        "complement_cols": [j + 1 for j in ci.complement_cols],
+        "selected_cols": _one_based(ci.selected_cols),
+        "complement_cols": _one_based(ci.complement_cols),
         "expected_left_null_dim": ci.expected_left_null_dim,
     }
+    if ci.row_order is not None:
+        d["row_order"] = _one_based(ci.row_order)
+    return d
 
 
 def constructed_from_dict(d: dict) -> ConstructedInstance:
     try:
         n, m, N = int(d["n"]), int(d["m"]), int(d["N"])
-        selected = tuple(int(j) - 1 for j in d["selected_cols"])
-        complement = tuple(int(j) - 1 for j in d["complement_cols"])
+        selected = _zero_based(d["selected_cols"])
+        complement = _zero_based(d["complement_cols"])
         expected = int(d["expected_left_null_dim"])
     except (KeyError, TypeError) as exc:
         raise DimensionError(f"constructed instance: missing field ({exc})") from exc
@@ -125,18 +125,14 @@ def constructed_from_dict(d: dict) -> ConstructedInstance:
         A=matrix_from_dict(d["A"], "A"),
         X0=matrix_from_dict(d["X0"], "X0"),
         expected_left_null_dim=expected,
+        row_order=_zero_based(d.get("row_order")),
     )
 
 
 def verification_to_dict(rec: VerificationRecord) -> dict:
-    return {
-        "stacked_rank": rec.stacked_rank,
-        "D_rank": rec.D_rank,
-        "left_null_dim": rec.left_null_dim,
-        "expected_left_null_dim": rec.expected_left_null_dim,
-        "tolerance_used": rec.tolerance_used,
-        "pass": rec.passed,
-    }
+    d = asdict(rec)
+    d["pass"] = d.pop("passed")
+    return d
 
 
 def recovery_to_dict(res: RecoveryResult) -> dict:
@@ -145,7 +141,7 @@ def recovery_to_dict(res: RecoveryResult) -> dict:
         "null_dim": res.null_dim,
         "lambda": None if res.lam is None else matrix_to_dict(res.lam),
         "X": None if res.X is None else matrix_to_dict(res.X),
-        "support": None if res.support is None else [j + 1 for j in res.support],
+        "support": _one_based(res.support),
     }
 
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bgpc import random_instance
+from bgpc import construct_claim1, random_instance
 
 
 @pytest.fixture
@@ -19,3 +21,16 @@ def degenerate_gamma_pair():
     Y = inst.lambda0[:, None] * (A @ inst.X0)
     Y[0] = 1.0
     return Y, A
+
+
+@pytest.fixture
+def duplicated_column_construction():
+    """Claim-1 instance (8, 4, 2) with column 3 of A replaced by column 2.
+
+    Rows 2 and 3 of X0 are zero, so columns t*m + 2 and t*m + 3 of the
+    stacked matrix coincide for every snapshot t and rank(S) < mN.
+    """
+    ci = construct_claim1(8, 4, 2)
+    A = ci.A.copy()
+    A[:, 3] = A[:, 2]
+    return replace(ci, A=A)

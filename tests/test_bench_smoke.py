@@ -1,5 +1,6 @@
 """Smoke test of the benchmark harness at tiny sizes."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,3 +18,17 @@ def test_recover_large_smoke_run_is_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_traced_names_resolve_to_functions():
+    # the traced run wraps each TARGETS name on its bgpc module, so a
+    # renamed or deleted function would otherwise surface only there
+    spec = importlib.util.spec_from_file_location("bench_spans",
+                                                  ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.TARGETS:
+        if name == "cxmat.svd":  # numpy.linalg.svd, wrapped in numpy itself
+            continue
+        mod, fn = name.split(".")
+        assert callable(getattr(importlib.import_module(f"bgpc.{mod}"), fn, None)), name

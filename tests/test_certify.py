@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bgpc import (BudgetExceededError, DimensionError, IDENTIFIABLE,
                   NOT_CERTIFIED, build_D_block, build_D_stack, build_stacked,
@@ -45,6 +46,42 @@ class TestBuildDBlock:
     def test_single_snapshot_rejected(self):
         with pytest.raises(DimensionError):
             build_D_block([1.0, 2.0], [[1.0], [2.0]])
+
+
+class TestBuildDStack:
+    @staticmethod
+    def looped(A, X0):
+        # reference: one build_D_block-style Kronecker block per row of A
+        N = X0.shape[1]
+        blocks = []
+        for a in A:
+            w = a @ X0
+            C = np.zeros((N - 1, N), dtype=complex)
+            C[:, 0] = -w[1:]
+            C[np.arange(N - 1), np.arange(1, N)] = w[0]
+            blocks.append(np.kron(C, a[None, :]))
+        return np.vstack(blocks)
+
+    def test_matches_per_row_kronecker_blocks(self):
+        for seed in range(40):
+            n, m, N = 3 + seed % 9, 1 + seed % 5, 2 + seed % 4
+            inst = random_instance(n, m, N, seed=seed, sparsity=m)
+            D = build_D_stack(inst.A, inst.X0)
+            ref = self.looped(inst.A, inst.X0)
+            assert D.shape == ref.shape == (n * (N - 1), m * N)
+            np.testing.assert_allclose(D, ref, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_block_is_one_row_stack(self):
+        inst = random_instance(6, 3, 3, seed=4)
+        for k in range(6):
+            np.testing.assert_array_equal(
+                build_D_block(inst.A[k], inst.X0),
+                build_D_stack(inst.A[k:k + 1], inst.X0))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            build_D_block([1.0, 2.0, 3.0], np.ones((2, 3)))
 
 
 class TestBuildStacked:
@@ -120,6 +157,44 @@ class TestCertifySubspace:
             rep = certify_subspace(inst.A, inst.X0, inst.lambda0)
             assert not rep.condition1_rank_full
             cases += 1
+
+
+def shapes():
+    return st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1), st.integers(2, 4)))
+
+
+class TestUnitsOfTheInstance:
+    """(A c, X0 d, lambda0 / (c d)) gives the same Y, so the same verdict."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shape=shapes(), seed=st.integers(0, 2 ** 31 - 1),
+           k=st.integers(-150, 150), on_A=st.booleans())
+    def test_subspace(self, shape, seed, k, on_A):
+        inst = random_instance(*shape, seed=seed)
+        c = 10.0 ** k
+        A, X0 = (inst.A * c, inst.X0) if on_A else (inst.A, inst.X0 * c)
+        ref = certify_subspace(inst.A, inst.X0, inst.lambda0)
+        rep = certify_subspace(A, X0, inst.lambda0 / c)
+        assert (rep.verdict, rep.stacked_rank) == (ref.verdict, ref.stacked_rank)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31 - 1), k=st.integers(-150, 150))
+    def test_joint_sparse(self, seed, k):
+        inst = random_instance(9, 5, 2, seed=seed, sparsity=2)
+        c = 10.0 ** k
+        ref = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 2)
+        rep = certify_joint_sparse(inst.A * c, inst.X0, inst.lambda0 / c, 2)
+        assert (rep.verdict, rep.stacked_rank, rep.failing_support) == \
+            (ref.verdict, ref.stacked_rank, ref.failing_support)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_extreme_snapshots_certified(self, c):
+        inst = random_instance(8, 4, 2, seed=5)
+        with np.errstate(over="raise", under="ignore"):
+            rep = certify_subspace(inst.A, inst.X0 * c, inst.lambda0 / c)
+        assert rep.verdict == IDENTIFIABLE
+        assert rep.condition2_lambda_unique
 
 
 class TestRestricted:

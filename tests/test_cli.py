@@ -3,7 +3,8 @@ import json
 import pytest
 
 from bgpc.cli import EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, main
-from bgpc.serialize import dump_json, load_json, matrix_to_dict
+from bgpc.serialize import (constructed_to_dict, dump_json, load_json,
+                            matrix_to_dict)
 
 
 def run(*argv):
@@ -18,6 +19,15 @@ class TestConstructPipeline:
                    "--out", str(ci)) == 0
         assert run("verify-construct", "--in", str(ci), "--out", str(rec)) == 0
         assert load_json(rec)["pass"] is True
+
+    def test_failing_verification_exit_2(self, tmp_path,
+                                         duplicated_column_construction):
+        ci = tmp_path / "ci.json"
+        rec = tmp_path / "rec.json"
+        dump_json(constructed_to_dict(duplicated_column_construction), ci)
+        assert run("verify-construct", "--in", str(ci),
+                   "--out", str(rec)) == EXIT_NOT_CERTIFIED
+        assert load_json(rec)["pass"] is False
 
     def test_infeasible_construct_refused(self, tmp_path):
         out = tmp_path / "ci.json"

@@ -4,7 +4,7 @@ import pytest
 from bgpc import (InfeasibleConstructionError, construct_claim1,
                   construct_claim2, numeric_rank, select_columns,
                   verify_claim1_rank)
-from bgpc.certify import build_stacked
+from bgpc.certify import build_D_stack, build_stacked
 
 
 def feasible_triples(n_max):
@@ -78,6 +78,15 @@ class TestVerifyRanks:
             ci = construct_claim1(n, m, N)
             rec = verify_claim1_rank(ci)
             assert rec.left_null_dim + rec.D_rank == n * (N - 1)
+
+
+    def test_failing_stack_factors_D(self, duplicated_column_construction):
+        ci = duplicated_column_construction
+        rec = verify_claim1_rank(ci)
+        assert not rec.passed
+        assert rec.stacked_rank < ci.m * ci.N
+        assert rec.D_rank == numeric_rank(build_D_stack(ci.A, ci.X0)).numeric_rank
+        assert rec.left_null_dim == ci.n * (ci.N - 1) - rec.D_rank
 
 
 class TestColumnPermutation:

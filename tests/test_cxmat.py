@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from bgpc import (DimensionError, dft_matrix, kronecker, left_null_space,
-                  null_space, numeric_rank)
-from bgpc.certify import build_D_stack
-from bgpc.construct import construct_claim1
+from bgpc import DimensionError, dft_matrix, numeric_rank
+from bgpc.cxmat import EPS, rank_decision
 
 
 def rand_cmat(rng, r, c):
@@ -42,42 +40,6 @@ class TestDftMatrix:
             for j2 in range(j1 + 1, n + 1):
                 lhs = F[:, (n + 1 - j1) - 1] * F[:, j2 - 1]
                 np.testing.assert_allclose(lhs, F[:, (j2 - j1) - 1], atol=1e-10)
-
-
-class TestKronecker:
-    def test_scalar_identity(self):
-        rng = np.random.default_rng(0)
-        R = rand_cmat(rng, 3, 2)
-        np.testing.assert_allclose(kronecker([[1]], R), R)
-
-    def test_block_swap(self):
-        P = kronecker([[0, 1], [1, 0]], np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[0:2, 2:4] = np.eye(2)
-        expected[2:4, 0:2] = np.eye(2)
-        np.testing.assert_allclose(P, expected)
-
-    def test_row_expansion(self):
-        x1, x2, a, b = 2.0, 3.0, 5.0, 7.0
-        out = kronecker([[-x2, x1]], [[a, b]])
-        np.testing.assert_allclose(out, [[-x2 * a, -x2 * b, x1 * a, x1 * b]])
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            A = rand_cmat(rng, 2, 3)
-            C = rand_cmat(rng, 3, 2)
-            B = rand_cmat(rng, 4, 2)
-            D = rand_cmat(rng, 2, 3)
-            lhs = kronecker(A, B) @ kronecker(C, D)
-            rhs = kronecker(A @ C, B @ D)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_shape(self):
-        rng = np.random.default_rng(2)
-        A = rand_cmat(rng, 3, 5)
-        B = rand_cmat(rng, 2, 7)
-        assert kronecker(A, B).shape == (6, 35)
 
 
 class TestNumericRank:
@@ -119,49 +81,34 @@ class TestNumericRank:
         assert numeric_rank(M, tol=1e-9).numeric_rank == 2
 
 
-class TestNullSpace:
-    def test_identity_empty(self):
-        assert null_space(np.eye(3)).shape == (3, 0)
+class TestRankDecision:
+    def test_default_cutoff(self):
+        s = np.array([3.0, 1.0, 1e-15])
+        rr = rank_decision(s, (3, 5))
+        assert rr.tolerance_used == 5 * EPS * 3.0
+        assert rr.numeric_rank == 2
 
-    def test_single_vector(self):
-        B = null_space([[1.0, 1.0]])
-        assert B.shape == (2, 1)
-        v = B[:, 0]
-        # forced up to phase: proportional to (1, -1)/sqrt(2)
-        assert abs(abs(v[0]) - 1 / np.sqrt(2)) < 1e-12
-        assert abs(v[0] + v[1]) < 1e-12
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            rank_decision(np.array([1.0]), (1, 1), tol=-1e-12)
+        with pytest.raises(ValueError):
+            numeric_rank(np.eye(2), tol=-1.0)
 
-    def test_zero_matrix(self):
-        B = null_space(np.zeros((2, 3)))
-        assert B.shape == (3, 3)
-        np.testing.assert_allclose(B.conj().T @ B, np.eye(3), atol=1e-12)
+    def test_marginal_within_ten_times_cutoff(self):
+        s = np.array([1.0, 5e-3])
+        assert rank_decision(s, (2, 2), tol=1e-3).marginal
+        assert not rank_decision(s, (2, 2), tol=1e-4).marginal
+        # nothing kept, nothing borderline
+        assert not rank_decision(s, (2, 2), tol=2.0).marginal
 
-    def test_basis_annihilated_and_normalized(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            M = rand_cmat(rng, 4, 7)
-            rr = numeric_rank(M)
-            B = null_space(M)
-            assert B.shape[1] == 7 - rr.numeric_rank
-            for i in range(B.shape[1]):
-                v = B[:, i]
-                assert np.linalg.norm(M @ v) <= 10 * rr.tolerance_used
-                assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    def test_no_singular_values(self):
+        rr = rank_decision(np.zeros(0), (0, 3))
+        assert (rr.numeric_rank, rr.tolerance_used, rr.marginal) == (0, 0.0, False)
 
-
-class TestLeftNullSpace:
-    def test_identity_empty(self):
-        assert left_null_space(np.eye(2)).shape == (2, 0)
-
-    def test_column_pair(self):
-        B = left_null_space([[1.0], [1.0]])
-        assert B.shape == (2, 1)
-        assert abs(B[0, 0] + B[1, 0]) < 1e-12
-
-    def test_constructed_block_stack(self):
-        # oracle: SVD of the explicit 8x8 cross-ratio stack; the predicted
-        # dimension is n*N - m*N - n + 1 = 1
-        ci = construct_claim1(8, 4, 2)
-        D = build_D_stack(ci.A, ci.X0)
-        assert D.shape == (8, 8)
-        assert left_null_space(D).shape == (8, 1)
+    def test_numeric_rank_is_svd_then_decision(self):
+        rng = np.random.default_rng(6)
+        M = rand_cmat(rng, 5, 3) @ rand_cmat(rng, 3, 4)
+        rr = numeric_rank(M)
+        ref = rank_decision(np.linalg.svd(M, compute_uv=False), M.shape)
+        assert rr.numeric_rank == ref.numeric_rank == 3
+        assert rr.tolerance_used == ref.tolerance_used

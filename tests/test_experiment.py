@@ -76,6 +76,15 @@ class TestRunSweep:
         (cell,) = run_sweep(cfg)
         assert cell.threshold_met and cell.rate == 1.0
 
+    def test_joint_sparse_budget_skips_cell(self):
+        # C(6, 2) = 15 support cells exceed a budget of 10
+        cfg = SweepConfig(mode=JOINT_SPARSE, n=16, m=6, dim_range=[1, 2],
+                          N_range=[2], trials=2, max_cells=10)
+        ran, skipped = run_sweep(cfg)
+        assert not ran.skipped_reason and ran.trials == 2
+        assert skipped.skipped_reason == "enumeration budget exceeded"
+        assert skipped.trials == 0
+
     def test_joint_sparse_needs_m(self):
         with pytest.raises(DimensionError):
             SweepConfig(mode=JOINT_SPARSE, n=16, dim_range=[2], N_range=[2],

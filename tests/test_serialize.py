@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bgpc import (certify_subspace, construct_claim1, forward,
-                  random_instance, recover, verify_claim1_rank)
+from bgpc import (certify_subspace, construct_claim1, construct_claim2,
+                  forward, random_instance, recover, verify_claim1_rank)
 from bgpc.errors import DimensionError
 from bgpc.serialize import (constructed_from_dict, constructed_to_dict,
                             instance_from_dict, instance_to_dict,
@@ -80,6 +80,16 @@ class TestReportFormats:
         assert out.selected_cols == ci.selected_cols
         np.testing.assert_array_equal(out.A, ci.A)
         assert verify_claim1_rank(out).passed
+
+    def test_claim2_round_trip_keeps_row_order(self):
+        ci = construct_claim2(12, 8, 3, 2, [1, 4, 6], [0, 4, 7])
+        assert ci.row_order == (1, 2, 0, 3, 4)
+        d = constructed_to_dict(ci)
+        assert d["row_order"] == [2, 3, 1, 4, 5]
+        out = constructed_from_dict(d)
+        assert out.row_order == ci.row_order
+        np.testing.assert_array_equal(out.X0, ci.X0)
+        assert "row_order" not in constructed_to_dict(construct_claim1(8, 4, 2))
 
     def test_verification_record_keys(self):
         rec = verify_claim1_rank(construct_claim1(8, 4, 2))
