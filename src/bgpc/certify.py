@@ -168,15 +168,23 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
                          max_cells: int = DEFAULT_CELL_BUDGET) -> CertificateReport:
     """Joint-sparsity certificate: the rank test over every candidate support.
 
-    The row support J0 of X0 must have size s. For every s-subset J1 of the
-    dictionary columns (lexicographic order), the restriction to J0 union J1
-    must have full column rank |J0 union J1| * N; the loop exits on the
-    first failing subset, which is recorded in the report. A, X0 and
-    lambda0 are scaled to unit size first, as in :func:`certify_subspace`.
+    The row support J0 of X0 must have size s, with 1 <= s <= m and n > 2s.
+    For every s-subset J1 of the dictionary columns (lexicographic order),
+    the restriction to J = J0 union J1 must have full column rank |J| * N;
+    the loop exits on the first failing subset, which is recorded in the
+    report. A, X0 and lambda0 are scaled to unit size first, as in
+    :func:`certify_subspace`.
+
+    The certificate matrix is built once: since X0 vanishes off J0, the
+    restriction to J (:func:`build_stacked_restricted`) is exactly the
+    columns t*m + j, j in J, t < N, of :func:`build_stacked`. A cell then
+    costs one column gather and one values-only SVD.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     n, m = A.shape
     N = X0.shape[1]
+    if not (1 <= s <= m):
+        raise DimensionError("requires 1 <= s <= m")
     if not (n > 2 * s):
         raise DimensionError("joint-sparsity certificate requires n > 2s")
     J0 = set(np.flatnonzero(np.any(X0 != 0, axis=1)).tolist())
@@ -185,10 +193,12 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     check_cell_budget(m, s, max_cells)
 
     cond2 = _lambda_uniqueness(A, X0, lambda0)
+    S = build_stacked(A, X0)
+    block_starts = np.arange(N)[:, None] * m
     failing = None
     for checked, J1 in enumerate(combinations(range(m), s), start=1):
         J = sorted(J0 | set(J1))
-        rr = numeric_rank(build_stacked_restricted(A, X0, J), tol=tol)
+        rr = numeric_rank(S[:, (block_starts + J).ravel()], tol=tol)
         if rr.numeric_rank != len(J) * N:
             failing = tuple(J1)
             break

@@ -80,6 +80,8 @@ def _cell_skip_reason(cfg: SweepConfig, dim: int, N: int) -> str:
         if not (cfg.n > dim >= 1):
             return "requires n > m >= 1"
     else:
+        if dim < 1:
+            return "requires s >= 1"
         if not (cfg.n > 2 * dim):
             return "requires n > 2s"
         if dim > cfg.m:

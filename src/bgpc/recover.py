@@ -74,6 +74,21 @@ def build_recovery_system(Y, A) -> np.ndarray:
     return np.hstack([np.kron(np.eye(N), A), minus_diag_y])
 
 
+def _gamma_system(Y: np.ndarray, A: np.ndarray):
+    """SVD of A, r = rank(A), and the reduced (n - r)N x n system G.
+
+    Returns (U, sA, Vh, r, G); the null space of G holds the gamma that map
+    every snapshot into range(A).
+    """
+    n, N = Y.shape
+    U, sA, Vh = np.linalg.svd(A, full_matrices=True)
+    r = rank_decision(sA, A.shape).numeric_rank
+    # row block j is Q_perp^H diag(y_j), with Q_perp = U[:, r:]; when r = n
+    # G has no rows and every gamma solves it
+    G = (U[:, r:].conj().T[None, :, :] * Y.T[:, None, :]).reshape(N * (n - r), n)
+    return U, sA, Vh, r, G
+
+
 def _solve_gamma(Y: np.ndarray, A: np.ndarray, tol: float | None):
     """Nullity of the (vec(X), gamma) system, and its solution when unique.
 
@@ -82,11 +97,7 @@ def _solve_gamma(Y: np.ndarray, A: np.ndarray, tol: float | None):
     """
     n, N = Y.shape
     m = A.shape[1]
-    U, sA, Vh = np.linalg.svd(A, full_matrices=True)
-    r = rank_decision(sA, A.shape).numeric_rank
-    # row block j is Q_perp^H diag(y_j), with Q_perp = U[:, r:]; when r = n
-    # G has no rows and every gamma solves it
-    G = (U[:, r:].conj().T[None, :, :] * Y.T[:, None, :]).reshape(N * (n - r), n)
+    U, sA, Vh, r, G = _gamma_system(Y, A)
     _, sG, VhG = np.linalg.svd(G, full_matrices=True)
     rr = rank_decision(sG, G.shape, tol)
     null_dim = n - rr.numeric_rank + N * (m - r)
@@ -127,22 +138,38 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
                          max_cells: int = DEFAULT_CELL_BUDGET) -> RecoveryResult:
     """Recovery under a shared s-sparse row support, support unknown.
 
-    Tries every s-subset of dictionary columns in lexicographic order and
-    keeps those whose restricted system has a one-dimensional null space
-    with nondegenerate gamma. Uniqueness requires all kept supports to
-    yield scale-equivalent solutions; the reported support is the first
-    (lexicographically minimal) passing one.
+    Requires 1 <= s <= m and n > 2s. Tries every s-subset J of dictionary
+    columns in lexicographic order and keeps those whose restricted system
+    has a one-dimensional null space with nondegenerate gamma. Uniqueness
+    requires all kept supports to yield scale-equivalent solutions; the
+    reported support is the first (lexicographically minimal) passing one.
+
+    A cell costs one SVD of A[:, J] and one values-only SVD of its reduced
+    system G. When A[:, J] has full column rank and G has full column rank
+    n clear of the cutoff (not marginal, cutoff > 0), the cell's null space
+    is trivial and it is ruled out from the singular values alone; the full
+    SVD of G would cut it the same way, since the two sets of singular
+    values differ by a few eps * sigma_max. Every other cell is solved as
+    in :func:`recover`.
     """
     Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
     m = A.shape[1]
+    if not (1 <= s <= m):
+        raise DimensionError("requires 1 <= s <= m")
     if not (n > 2 * s):
         raise DimensionError("joint-sparse recovery requires n > 2s")
     check_cell_budget(m, s, max_cells)
     hits = []
     max_null = 0
     for J in combinations(range(m), s):
-        null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
+        AJ = A[:, list(J)]
+        *_, r, G = _gamma_system(Y, AJ)
+        if r == s:
+            rr = rank_decision(np.linalg.svd(G, compute_uv=False), G.shape, tol)
+            if rr.numeric_rank == n and rr.tolerance_used > 0 and not rr.marginal:
+                continue  # null_dim 0, below the running maximum
+        null_dim, gamma, XJ = _solve_gamma(Y, AJ, tol)
         max_null = max(max_null, null_dim)
         if gamma is None or _degenerate(gamma, gamma_tol):
             continue

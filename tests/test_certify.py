@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +218,21 @@ class TestRestricted:
         resid = R[1:, :] @ inst.X0[J, :].flatten(order="F")
         assert np.linalg.norm(resid) < 1e-10
 
+    def test_cells_are_column_subsets_of_full_build(self):
+        # X0 vanishes off J0, so the restriction to J = J0 | J1 is the
+        # columns t*m + j (j in J) of the full build, bit for bit
+        n, m, s, N = 20, 12, 3, 3
+        inst = random_instance(n, m, N, seed=20, sparsity=s)
+        S = build_stacked(inst.A, inst.X0)
+        cells = 0
+        for J1 in combinations(range(m), s):
+            J = sorted(set(inst.support) | set(J1))
+            cols = (np.arange(N)[:, None] * m + J).ravel()
+            np.testing.assert_array_equal(
+                S[:, cols], build_stacked_restricted(inst.A, inst.X0, J))
+            cells += 1
+        assert cells == 220
+
     def test_empty_restriction_rejected(self):
         inst = random_instance(8, 4, 2, seed=13)
         with pytest.raises(DimensionError):
@@ -243,6 +260,12 @@ class TestCertifyJointSparse:
         inst = random_instance(16, 8, 2, seed=17, sparsity=3)
         with pytest.raises(BudgetExceededError):
             certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 3, max_cells=10)
+
+    @pytest.mark.parametrize("s", [0, -1, 9])
+    def test_sparsity_out_of_range(self, s):
+        inst = random_instance(20, 8, 2, seed=17, sparsity=3)
+        with pytest.raises(DimensionError, match=r"requires 1 <= s <= m"):
+            certify_joint_sparse(inst.A, inst.X0, inst.lambda0, s)
 
     def test_full_support_matches_subspace(self):
         # s = m: the single cell J0 | J1 = 0..m-1 is the subspace certificate

@@ -60,6 +60,15 @@ class TestCertifyPipeline:
         d = load_json(rep)
         assert d["support_cells_checked"] == 56
 
+    @pytest.mark.parametrize("s", ["0", "-1", "9"])
+    def test_certify_sparse_sparsity_out_of_range(self, tmp_path, capsys, s):
+        inst = tmp_path / "inst.json"
+        run("gen", "--n", "20", "--m", "8", "--N", "2", "--s", "3",
+            "--seed", "2", "--out", str(inst))
+        assert run("certify-sparse", "--instance", str(inst),
+                   "--s", s) == EXIT_INPUT_ERROR
+        assert "requires 1 <= s <= m" in capsys.readouterr().err
+
 
 class TestRecoverPipeline:
     def test_end_to_end(self, tmp_path, capsys):
@@ -117,6 +126,17 @@ class TestRecoverPipeline:
         d = load_json(out)
         assert d["status"] == "Unique"
         assert d["support"] == load_json(inst)["support"]
+
+    @pytest.mark.parametrize("s", ["0", "-1", "9"])
+    def test_recover_sparse_sparsity_out_of_range(self, tmp_path, capsys, s):
+        Y = tmp_path / "Y.json"
+        A = tmp_path / "A.json"
+        run("gen", "--n", "20", "--m", "8", "--N", "2", "--s", "3",
+            "--seed", "4", "--out", str(tmp_path / "inst.json"),
+            "--y-out", str(Y), "--a-out", str(A))
+        assert run("recover-sparse", "--Y", str(Y), "--A", str(A),
+                   "--s", s) == EXIT_INPUT_ERROR
+        assert "requires 1 <= s <= m" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -85,6 +85,14 @@ class TestRunSweep:
         assert skipped.skipped_reason == "enumeration budget exceeded"
         assert skipped.trials == 0
 
+    def test_joint_sparse_sparsity_zero_skips_cell(self):
+        cfg = SweepConfig(mode=JOINT_SPARSE, n=16, m=6, dim_range=[0, 2],
+                          N_range=[2], trials=2, record_timing=False)
+        skipped, ran = run_sweep(cfg)
+        assert skipped.skipped_reason == "requires s >= 1"
+        assert skipped.trials == 0
+        assert not ran.skipped_reason and ran.rate == 1.0
+
     def test_joint_sparse_needs_m(self):
         with pytest.raises(DimensionError):
             SweepConfig(mode=JOINT_SPARSE, n=16, dim_range=[2], N_range=[2],

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,8 @@ from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale,
                   build_recovery_system, forward, numeric_rank,
                   random_instance, recover, recover_joint_sparse)
 from bgpc.errors import BudgetExceededError, DimensionError
+from bgpc.recover import (DEFAULT_GAMMA_TOL, EQUIVALENCE_TOL, _degenerate,
+                          _gamma_system, _solve_gamma)
 
 
 class TestBuildSystem:
@@ -230,6 +234,81 @@ class TestRecoverJointSparse:
         inst = random_instance(8, 8, 2, seed=11, sparsity=4)
         with pytest.raises(DimensionError):
             recover_joint_sparse(forward(inst), inst.A, 4)
+
+    @pytest.mark.parametrize("s", [0, -1, 9])
+    def test_sparsity_out_of_range(self, s):
+        # s > m with n > 2s used to enumerate nothing and report Ambiguous
+        inst = random_instance(20, 8, 2, seed=11, sparsity=3)
+        with pytest.raises(DimensionError, match=r"requires 1 <= s <= m"):
+            recover_joint_sparse(forward(inst), inst.A, s)
+
+
+def solve_every_cell(Y, A, s, tol):
+    """The joint-sparse enumeration with _solve_gamma on every cell."""
+    m, N = A.shape[1], Y.shape[1]
+    hits = []
+    max_null = 0
+    for J in combinations(range(m), s):
+        null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
+        max_null = max(max_null, null_dim)
+        if gamma is None or _degenerate(gamma, DEFAULT_GAMMA_TOL):
+            continue
+        X = np.zeros((m, N), dtype=np.complex128)
+        X[list(J), :] = XJ
+        hits.append((J, X, gamma))
+    if not hits:
+        return AMBIGUOUS, max_null, None, None
+    J_ref, X_ref, g_ref = hits[0]
+    ref = np.concatenate([X_ref.flatten(order="F"), g_ref])[None, :]
+    for _, X, gamma in hits[1:]:
+        cand = np.concatenate([X.flatten(order="F"), gamma])[None, :]
+        if align_scale(cand, ref).relative_error > EQUIVALENCE_TOL:
+            return AMBIGUOUS, 1, None, None
+    return UNIQUE, 1, tuple(J_ref), X_ref
+
+
+class TestJointSparseScreen:
+    """Cells ruled out from singular values alone change no result.
+
+    The instances reach every branch of the screen: cells with
+    rank(A[:, J]) < s (a duplicated column), cells whose G is marginal
+    (Y + 1e-13 by default, Y + 1e-9 at tol = 1e-9), cells of deficient
+    rank, and instances with no solution at all (Y + 1e-9 by default).
+    """
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "dup"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-13])
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_matches_solving_every_cell(self, seed, duplicate, noise, tol):
+        inst = random_instance(14, 8, 2, seed=seed, sparsity=3)
+        A = inst.A.copy()
+        if duplicate:
+            A[:, 5] = A[:, 1]
+        Y = inst.lambda0[:, None] * (A @ inst.X0) + noise
+        status, null_dim, support, X = solve_every_cell(Y, A, 3, tol)
+        res = recover_joint_sparse(Y, A, 3, tol=tol)
+        assert (res.status, res.null_dim, res.support) == (status, null_dim, support)
+        if X is None:
+            assert res.X is None
+        else:
+            assert res.X.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cutoff_at_the_smallest_singular_value(self, seed):
+        # tol is the smallest singular value of the planted cell's G from
+        # the full SVD, which cuts it; the values-only SVD can put it a few
+        # ulps higher, above the cutoff. Such a cell is marginal, so it is
+        # solved and not screened out (the planted solution survives).
+        inst = random_instance(14, 8, 2, seed=seed, sparsity=3)
+        Y = forward(inst) + 1e-9
+        *_, G = _gamma_system(Y, inst.A[:, list(inst.support)])
+        tol = float(np.linalg.svd(G, full_matrices=True)[1][-1])
+        status, null_dim, support, X = solve_every_cell(Y, inst.A, 3, tol)
+        assert support == inst.support
+        res = recover_joint_sparse(Y, inst.A, 3, tol=tol)
+        assert (res.status, res.null_dim, res.support) == (status, null_dim, support)
+        assert res.X.tobytes() == X.tobytes()
 
 
 class TestOracleAgreement:
