@@ -130,8 +130,7 @@ def _cmd_sweep(args) -> int:
     cfg = experiment.config_from_dict(serialize.load_json(args.config))
     if _tol_from_env(None) is not None and cfg.tolerance is None:
         cfg.tolerance = _tol_from_env(None)
-    workers = args.threads if args.threads else os.cpu_count()
-    cells = experiment.run_sweep(cfg, max_workers=workers)
+    cells = experiment.run_sweep(cfg)
     experiment.write_csv(cells, args.csv)
     if args.json:
         experiment.write_json(cells, args.json)
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates, explicit constructions, null-space "
                     "recovery, and phase-transition sweeps.")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for parallel sections (default: all cores)")
+                   help="accepted and ignored: sweeps run serially")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a seeded random instance")

@@ -1,11 +1,20 @@
 """Explicit instances with provably full certificate rank.
 
 The construction picks X0 as the first N columns of the m x m identity and
-A as m columns of the n x n DFT matrix, chosen so that no N circularly
-consecutive columns are all selected except the initial block 1..N. For
+A as m columns of the n x n DFT matrix F, chosen so that no N circularly
+consecutive columns are all selected except the initial block 0..N-1. For
 such a pair the stacked certificate matrix has full column rank mN, the
 block stack without its first row has rank mN - 1, and the left null space
 of that stack has dimension exactly nN - mN - n + 1.
+
+Why the ranks are exact: W = A X0 = F[:, :N] has no zero entry and the
+rows of F^-1[comp, :] span the left null space of A, so (as in recovery)
+rank(S) = mN exactly when G = [F^-1[comp, :] diag(w_j)]_j has rank n - 1.
+Row (j, c) of G is the DFT row at frequency (j - c) mod n, up to a factor
+1/n, and distinct DFT rows are independent (Vandermonde). Frequency r is
+missed exactly when columns -r, ..., N-1-r (mod n) are all selected, as
+r = 0 is; so rank(G) = n - 1 exactly when every other circular window of
+N columns holds an unselected column.
 
 Column indices are 0-based here; serialization shifts to 1-based labels.
 """
@@ -45,61 +54,23 @@ class VerificationRecord:
     passed: bool
 
 
-def _region_capacity(length: int, run: int, N: int) -> int:
-    # max selectable from `length` contiguous positions, starting with a
-    # run of `run` already-selected neighbors, never reaching N in a row
-    count = 0
-    r = run
-    for _ in range(length):
-        if r < N - 1:
-            count += 1
-            r += 1
-        else:
-            r = 0
-    return count
-
-
 def select_columns(n: int, m: int, N: int) -> tuple[int, ...]:
-    """Deterministic greedy choice of m DFT columns (0-based).
-
-    Starts from the block 0..N-1; columns N and n-1 are never selected, so
-    the block stays circularly isolated. Extra columns are taken greedily,
-    left to right over N+1..n-2, skipping whenever a selection would
-    complete N consecutive picks, with a lookahead that the remaining
-    positions can still supply the quota.
-    """
+    """The block 0..N-1, then the first m - N of N+1..n-2 that skip every
+    N-th position (runs of N - 1 picks); N and n-1 stay unselected. There
+    are enough of them exactly when (n - m) * N >= n - 1."""
     if not (n > m >= N >= 2):
         raise DimensionError("requires n > m >= N >= 2")
     if (n - m) * N < n - 1:
         raise InfeasibleConstructionError(
             f"(n-m)*N = {(n - m) * N} < n-1 = {n - 1}: no valid column selection")
-    selected = list(range(N))
-    needed = m - N
-    run = 0
-    for i in range(N + 1, n - 1):
-        remaining = (n - 1) - (i + 1)
-        take = False
-        if needed > 0 and run < N - 1:
-            if needed - 1 <= _region_capacity(remaining, run + 1, N):
-                take = True
-        if take:
-            selected.append(i)
-            needed -= 1
-            run += 1
-        else:
-            if needed > _region_capacity(remaining, 0, N):
-                raise InfeasibleConstructionError(
-                    "column selection cannot reach the quota")  # unreachable when feasible
-            run = 0
-    if needed != 0:
-        raise InfeasibleConstructionError("column selection cannot reach the quota")
-    return tuple(selected)
+    extra = [i for i in range(N + 1, n - 1) if (i - N - 1) % N != N - 1]
+    return tuple(range(N)) + tuple(extra[:m - N])
 
 
 def construct_claim1(n: int, m: int, N: int) -> ConstructedInstance:
     """Build the DFT-column instance whose certificate rank is exact."""
     selected = select_columns(n, m, N)
-    complement = tuple(i for i in range(n) if i not in set(selected))
+    complement = tuple(sorted(set(range(n)) - set(selected)))
     F = dft_matrix(n)
     A = F[:, list(selected)]
     X0 = np.eye(m, N, dtype=np.complex128)
@@ -173,13 +144,11 @@ def construct_claim2(n: int, m: int, s: int, N: int,
     base = construct_claim1(n, ell, N)
     # positions of J0 inside the union; the first N carry the identity block
     pos0 = [union.index(j) for j in J0]
-    rest = [p for p in range(ell) if p not in set(pos0[:N])]
-    perm = pos0[:N] + rest
+    perm = pos0[:N] + sorted(set(range(ell)) - set(pos0[:N]))
     A = np.empty_like(base.A)
     X0 = np.zeros_like(base.X0)
-    for i, p in enumerate(perm):
-        A[:, p] = base.A[:, i]
-        X0[p, :] = base.X0[i, :]
+    A[:, perm] = base.A
+    X0[perm, :] = base.X0
     return ConstructedInstance(
         n=n, m=ell, N=N,
         selected_cols=base.selected_cols,

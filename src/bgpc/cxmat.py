@@ -13,6 +13,7 @@ its inputs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,10 @@ class RankResult:
 
 
 def check_tolerance(tol: float | None) -> None:
-    """Reject a negative explicit cutoff; None selects the default rule."""
-    if tol is not None and tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    """Reject a cutoff that is not a nonnegative real; None means the default."""
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                            or not tol >= 0):
+        raise ValueError(f"tolerance must be a nonnegative real, got {tol!r}")
 
 
 def rank_decision(s: np.ndarray, shape: tuple[int, int],

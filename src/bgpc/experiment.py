@@ -4,20 +4,21 @@ Each grid cell draws seeded random instances and counts how often the
 identifiability certificate succeeds; the empirical success rate jumps
 from 0 to 1 exactly at the sample-complexity threshold. Per-trial seeds
 derive from (base seed, mode, n, dim, N, trial), so any cell reproduces
-independently of execution order or worker count.
+independently of the order the grid runs in.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
 from .certify import (IDENTIFIABLE, JOINT_SPARSE, SUBSPACE,
                       certify_joint_sparse, certify_subspace)
+from .cxmat import check_tolerance
 from .errors import BudgetExceededError, DimensionError
 from .model import (DEFAULT_CELL_BUDGET, check_cell_budget, forward,
                     min_samples_joint_sparse, min_samples_subspace,
@@ -58,12 +59,24 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in (SUBSPACE, JOINT_SPARSE):
             raise DimensionError(f"unknown sweep mode {self.mode!r}")
-        if not self.dim_range or not self.N_range:
-            raise DimensionError("dim_range and N_range must be nonempty")
+        for name in ("n", "trials", "base_seed", "max_cells", "m"):
+            value = getattr(self, name)
+            if not (_is_int(value) or name == "m" and value is None):
+                raise DimensionError(f"{name} must be an integer, got {value!r}")
+        for name in ("dim_range", "N_range"):
+            value = getattr(self, name)
+            if not (isinstance(value, list) and value and all(map(_is_int, value))):
+                raise DimensionError(
+                    f"{name} must be a nonempty list of integers, got {value!r}")
         if self.trials < 1:
             raise DimensionError("trials must be >= 1")
         if self.mode == JOINT_SPARSE and self.m is None:
             raise DimensionError("JointSparse sweeps need the dictionary size m")
+        check_tolerance(self.tolerance)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def trial_seed(base_seed: int, mode: str, n: int, dim: int, N: int, t: int) -> int:
@@ -132,44 +145,17 @@ def _run_cell(cfg: SweepConfig, dim: int, N: int) -> PhaseCell:
 
 
 def run_sweep(cfg: SweepConfig, max_workers: int | None = None) -> list[PhaseCell]:
-    """Run the full grid; output order follows the grid, not completion."""
-    grid = [(dim, N) for dim in cfg.dim_range for N in cfg.N_range]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda c: _run_cell(cfg, *c), grid))
-    return [_run_cell(cfg, dim, N) for dim, N in grid]
-
-
-def cell_to_dict(cell: PhaseCell) -> dict:
-    return {
-        "mode": cell.mode,
-        "n": cell.n,
-        "dim": cell.dim,
-        "N": cell.N,
-        "threshold_met": cell.threshold_met,
-        "trials": cell.trials,
-        "successes": cell.successes,
-        "rate": cell.rate,
-        "mean_runtime_ms": cell.mean_runtime_ms,
-        "skipped_reason": cell.skipped_reason,
-    }
+    """Run the grid serially, in grid order. ``max_workers`` is accepted and
+    ignored: a thread pool measured slower than this loop."""
+    return [_run_cell(cfg, dim, N) for dim in cfg.dim_range for N in cfg.N_range]
 
 
 def cells_to_csv(cells: list[PhaseCell]) -> str:
     lines = [CSV_HEADER]
     for c in cells:
-        lines.append(",".join([
-            c.mode,
-            str(c.n),
-            str(c.dim),
-            str(c.N),
-            "true" if c.threshold_met else "false",
-            str(c.trials),
-            str(c.successes),
-            format(c.rate, ".17g"),
-            format(c.mean_runtime_ms, ".3f"),
-            c.skipped_reason,
-        ]))
+        lines.append(f"{c.mode},{c.n},{c.dim},{c.N},{str(c.threshold_met).lower()},"
+                     f"{c.trials},{c.successes},{c.rate:.17g},"
+                     f"{c.mean_runtime_ms:.3f},{c.skipped_reason}")
     return "\n".join(lines) + "\n"
 
 
@@ -180,13 +166,19 @@ def write_csv(cells: list[PhaseCell], path) -> None:
 
 def write_json(cells: list[PhaseCell], path) -> None:
     with open(path, "w") as fh:
-        json.dump([cell_to_dict(c) for c in cells], fh, indent=2)
+        json.dump([asdict(c) for c in cells], fh, indent=2)
         fh.write("\n")
 
 
 def config_from_dict(d: dict) -> SweepConfig:
-    known = {f for f in SweepConfig.__dataclass_fields__}
-    extra = set(d) - known
+    if not isinstance(d, dict):
+        raise DimensionError("sweep config must be a JSON object")
+    fields = SweepConfig.__dataclass_fields__
+    extra = set(d) - set(fields)
     if extra:
         raise DimensionError(f"unknown sweep config fields: {sorted(extra)}")
+    missing = [f for f, spec in fields.items()
+               if spec.default is MISSING and f not in d]
+    if missing:
+        raise DimensionError(f"missing sweep config fields: {missing}")
     return SweepConfig(**d)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,50 @@ class TestSweep:
                                     "trials": 1, "bogus": 1}))
         assert run("sweep", "--config", str(path),
                    "--csv", str(tmp_path / "o.csv")) == 1
+
+
+    def test_threads_flag_accepted_and_output_unchanged(self, tmp_path):
+        # the phase-sweep benchmark runs `bgpc --threads <nproc> sweep`
+        cfg = self.config(tmp_path)
+        plain, threaded = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("sweep", "--config", str(cfg), "--csv", str(plain)) == 0
+        assert run("--threads", "2", "sweep", "--config", str(cfg),
+                   "--csv", str(threaded)) == 0
+        assert plain.read_bytes() == threaded.read_bytes()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"trials": "5"}, "trials must be an integer"),
+        ({"dim_range": 3}, "dim_range must be a nonempty list of integers"),
+        ({"n": 10.5}, "n must be an integer"),
+        ({"tolerance": -1e-9}, "tolerance must be a nonnegative real"),
+        ({"N_range": None}, "N_range must be a nonempty list of integers"),
+    ])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys,
+                                             change, message):
+        cfg = {"mode": "Subspace", "n": 10, "dim_range": [3],
+               "N_range": [2], "trials": 1, **change}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        csv = tmp_path / "o.csv"
+        assert run("sweep", "--config", str(path),
+                   "--csv", str(csv)) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", "{\"mode\": \"Subspace\"}"])
+    def test_non_object_or_incomplete_config_no_traceback(self, tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve()
+                                                  .parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bgpc.cli", "sweep", "--config", str(path),
+             "--csv", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stderr.startswith("error: ") and "sweep config" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestErrors:

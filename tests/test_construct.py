@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bgpc import (InfeasibleConstructionError, construct_claim1,
-                  construct_claim2, numeric_rank, select_columns,
-                  verify_claim1_rank)
+from bgpc import (DimensionError, InfeasibleConstructionError,
+                  construct_claim1, construct_claim2, numeric_rank,
+                  select_columns, verify_claim1_rank)
 from bgpc.certify import build_D_stack, build_stacked
 
 
@@ -27,6 +27,56 @@ def window_violations(selected, n, N):
     return bad
 
 
+def _region_capacity(length, run, N):
+    # max selectable from `length` contiguous positions, starting with a
+    # run of `run` already-selected neighbors, never reaching N in a row
+    count = 0
+    r = run
+    for _ in range(length):
+        if r < N - 1:
+            count += 1
+            r += 1
+        else:
+            r = 0
+    return count
+
+
+def greedy_select_columns(n, m, N):
+    """Reference: the greedy search with lookahead that the closed form
+    in ``select_columns`` replaced. Returns None when it finds no selection."""
+    selected = list(range(N))
+    needed = m - N
+    run = 0
+    for i in range(N + 1, n - 1):
+        remaining = (n - 1) - (i + 1)
+        if needed > 0 and run < N - 1 and \
+                needed - 1 <= _region_capacity(remaining, run + 1, N):
+            selected.append(i)
+            needed -= 1
+            run += 1
+        else:
+            if needed > _region_capacity(remaining, 0, N):
+                return None
+            run = 0
+    return tuple(selected) if needed == 0 else None
+
+
+def claim2_reference(n, N, J0, J1):
+    """Reference: construct_claim2's permutation written as a per-column
+    copy loop over the base construction."""
+    J0 = sorted(set(J0))
+    union = sorted(set(J0) | set(J1))
+    base = construct_claim1(n, len(union), N)
+    pos0 = [union.index(j) for j in J0]
+    perm = pos0[:N] + [p for p in range(len(union)) if p not in pos0[:N]]
+    A = np.empty_like(base.A)
+    X0 = np.zeros_like(base.X0)
+    for i, p in enumerate(perm):
+        A[:, p] = base.A[:, i]
+        X0[p, :] = base.X0[i, :]
+    return A, X0, tuple(perm)
+
+
 class TestSelection:
     def test_desk_example(self):
         sel = select_columns(8, 4, 2)
@@ -41,6 +91,36 @@ class TestSelection:
         ci = construct_claim1(6, 3, 3)
         np.testing.assert_array_equal(ci.X0, np.eye(3))
         assert ci.selected_cols == (0, 1, 2)
+
+    def test_closed_form_matches_greedy_reference(self):
+        checked = 0
+        for n, m, N in feasible_triples(48):
+            assert select_columns(n, m, N) == greedy_select_columns(n, m, N), \
+                (n, m, N)
+            checked += 1
+        assert checked == 14493
+
+    def test_every_infeasible_triple_refused(self):
+        checked = 0
+        for n in range(4, 49):
+            for m in range(2, n):
+                for N in range(2, m + 1):
+                    if (n - m) * N >= n - 1:
+                        continue
+                    assert greedy_select_columns(n, m, N) is None
+                    with pytest.raises(InfeasibleConstructionError) as exc:
+                        select_columns(n, m, N)
+                    assert str(exc.value) == (
+                        f"(n-m)*N = {(n - m) * N} < n-1 = {n - 1}: "
+                        "no valid column selection")
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("n, m, N", [(8, 8, 2), (4, 5, 2), (8, 4, 5),
+                                         (8, 4, 1)])
+    def test_dimension_checks(self, n, m, N):
+        with pytest.raises(DimensionError, match="requires n > m >= N >= 2"):
+            select_columns(n, m, N)
 
     def test_invariants_exhaustive(self):
         for n, m, N in feasible_triples(24):
@@ -128,6 +208,25 @@ class TestClaim2:
         positions0 = [union.index(j) for j in J0]
         assert set(nz) <= set(positions0)
         assert len(nz) == ci.N
+
+    def test_matches_per_column_reference_bitwise(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for n, m, s, N in [(16, 8, 3, 2), (16, 8, 3, 3), (20, 10, 4, 3),
+                           (24, 12, 5, 4), (12, 6, 2, 2)]:
+            for _ in range(8):
+                J0 = sorted(rng.choice(m, s, replace=False).tolist())
+                J1 = sorted(rng.choice(m, s, replace=False).tolist())
+                try:
+                    ci = construct_claim2(n, m, s, N, J0=J0, J1=J1)
+                except InfeasibleConstructionError:
+                    continue
+                A, X0, perm = claim2_reference(n, N, J0, J1)
+                assert ci.row_order == perm
+                assert ci.A.tobytes() == A.tobytes()
+                assert ci.X0.tobytes() == X0.tobytes()
+                checked += 1
+        assert checked >= 30
 
     def test_infeasible_union(self):
         # l = 2, N = 2: (16 - 2) * 2 >= 15 holds, but N > s is rejected

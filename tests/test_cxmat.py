@@ -94,6 +94,11 @@ class TestRankDecision:
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), "1e-3", True, 1j])
+    def test_non_real_or_nan_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="nonnegative real"):
+            rank_decision(np.array([1.0]), (1, 1), tol=tol)
+
     def test_marginal_within_ten_times_cutoff(self):
         s = np.array([1.0, 5e-3])
         assert rank_decision(s, (2, 2), tol=1e-3).marginal

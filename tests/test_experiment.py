@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from bgpc import SweepConfig, run_sweep
 from bgpc.certify import JOINT_SPARSE, SUBSPACE
 from bgpc.errors import DimensionError
-from bgpc.experiment import (CSV_HEADER, cells_to_csv, trial_seed, write_csv,
+from bgpc.experiment import (CSV_HEADER, PhaseCell, cells_to_csv,
+                             config_from_dict, trial_seed, write_csv,
                              write_json)
 
 
@@ -104,6 +107,47 @@ class TestRunSweep:
         assert [c.successes for c in plain] == [c.successes for c in cross]
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10.5), ("n", "10"), ("n", True), ("trials", "5"),
+        ("trials", 2.0), ("base_seed", None), ("base_seed", False),
+        ("max_cells", 1e6), ("dim_range", 3), ("dim_range", [3, "4"]),
+        ("dim_range", (3, 4)), ("dim_range", []), ("N_range", [2.0]),
+        ("N_range", [True]), ("N_range", None),
+    ])
+    def test_bad_integer_fields(self, field, value):
+        with pytest.raises(DimensionError, match=field):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("m", ["8", 8.0, False])
+    def test_bad_dictionary_size(self, m):
+        with pytest.raises(DimensionError, match="m must be an integer"):
+            SweepConfig(mode=JOINT_SPARSE, n=16, m=m, dim_range=[2],
+                        N_range=[2], trials=1)
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), "1e-3", True])
+    def test_bad_tolerance_before_any_trial(self, tol):
+        with pytest.raises(ValueError, match="nonnegative real"):
+            small_config(tolerance=tol)
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_config(n=np.int64(10), dim_range=[np.int64(3)],
+                           N_range=[np.int32(2)], trials=np.int16(5),
+                           tolerance=np.float64(1e-9))
+        (cell,) = run_sweep(cfg)
+        assert cell.rate == 1.0
+
+    @pytest.mark.parametrize("doc", [[1, 2], "Subspace", 3, None])
+    def test_config_must_be_an_object(self, doc):
+        with pytest.raises(DimensionError, match="must be a JSON object"):
+            config_from_dict(doc)
+
+    def test_missing_fields_named(self):
+        expected = r"missing sweep config fields: \['N_range', 'trials'\]"
+        with pytest.raises(DimensionError, match=expected):
+            config_from_dict({"mode": SUBSPACE, "n": 10, "dim_range": [3]})
+
+
 class TestOutput:
     def test_csv_header_and_shape(self):
         cells = run_sweep(small_config())
@@ -130,3 +174,22 @@ class TestOutput:
         assert set(loaded[0]) == {"mode", "n", "dim", "N", "threshold_met",
                                   "trials", "successes", "rate",
                                   "mean_runtime_ms", "skipped_reason"}
+
+    def test_json_and_csv_bytes_match_hand_written_reference(self, tmp_path):
+        cells = run_sweep(small_config(dim_range=[3, 4, 8, 12]))
+        cells.append(PhaseCell(mode=SUBSPACE, n=10, dim=3, N=2,
+                               threshold_met=True, trials=3, successes=1,
+                               rate=1 / 3, mean_runtime_ms=1.23456))
+        keys = ["mode", "n", "dim", "N", "threshold_met", "trials",
+                "successes", "rate", "mean_runtime_ms", "skipped_reason"]
+        ref = [{k: getattr(c, k) for k in keys} for c in cells]
+        path = tmp_path / "out.json"
+        write_json(cells, path)
+        assert path.read_text() == json.dumps(ref, indent=2) + "\n"
+        rows = [CSV_HEADER] + [",".join([
+            c.mode, str(c.n), str(c.dim), str(c.N),
+            "true" if c.threshold_met else "false", str(c.trials),
+            str(c.successes), format(c.rate, ".17g"),
+            format(c.mean_runtime_ms, ".3f"), c.skipped_reason])
+            for c in cells]
+        assert cells_to_csv(cells) == "\n".join(rows) + "\n"
