@@ -29,7 +29,12 @@ def _tol_from_env(args_tol):
     if args_tol is not None:
         return args_tol
     env = os.environ.get("BGPC_TOL")
-    return float(env) if env else None
+    if not env:
+        return None
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(f"BGPC_TOL must be a number, got {env!r}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -128,8 +133,9 @@ def _cmd_recover_sparse(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = experiment.config_from_dict(serialize.load_json(args.config))
-    if _tol_from_env(None) is not None and cfg.tolerance is None:
-        cfg.tolerance = _tol_from_env(None)
+    env_tol = _tol_from_env(None)
+    if env_tol is not None and cfg.tolerance is None:
+        cfg.tolerance = env_tol
     cells = experiment.run_sweep(cfg)
     experiment.write_csv(cells, args.csv)
     if args.json:
@@ -150,68 +156,60 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted and ignored: sweeps run serially")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a seeded random instance")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--N", type=int, required=True)
+    # flags shared by several subcommands, each defined once
+    build = argparse.ArgumentParser(add_help=False)
+    for flag in ("--n", "--m", "--N"):
+        build.add_argument(flag, type=int, required=True)
+    build.add_argument("--out", required=True)
+    tol_out = argparse.ArgumentParser(add_help=False)
+    tol_out.add_argument("--tol", type=float, default=None)
+    tol_out.add_argument("--out", default=None)
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument("--max-cells", type=int, default=model.DEFAULT_CELL_BUDGET)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--Y", required=True)
+    data.add_argument("--A", required=True)
+    data.add_argument("--truth", default=None,
+                      help="instance file to report alignment errors against")
+
+    g = sub.add_parser("gen", parents=[build],
+                       help="generate a seeded random instance")
     g.add_argument("--s", type=int, default=None,
                    help="row sparsity (enables joint-sparse mode)")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--out", required=True)
     g.add_argument("--y-out", default=None,
                    help="also write the forward measurements as a matrix file")
     g.add_argument("--a-out", default=None,
                    help="also write the dictionary as a matrix file")
     g.set_defaults(func=_cmd_gen)
 
-    c = sub.add_parser("certify", help="run the subspace-model certificate")
-    c.add_argument("--instance", required=True)
-    c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--out", default=None)
+    c = sub.add_parser("certify", parents=[instance, tol_out],
+                       help="run the subspace-model certificate")
     c.set_defaults(func=_cmd_certify)
 
-    cs = sub.add_parser("certify-sparse",
+    cs = sub.add_parser("certify-sparse", parents=[instance, tol_out, cells],
                         help="run the joint-sparsity certificate")
-    cs.add_argument("--instance", required=True)
     cs.add_argument("--s", type=int, default=None)
-    cs.add_argument("--tol", type=float, default=None)
-    cs.add_argument("--max-cells", type=int, default=model.DEFAULT_CELL_BUDGET)
-    cs.add_argument("--out", default=None)
     cs.set_defaults(func=_cmd_certify_sparse)
 
-    co = sub.add_parser("construct",
+    co = sub.add_parser("construct", parents=[build],
                         help="build the explicit DFT-column instance")
-    co.add_argument("--n", type=int, required=True)
-    co.add_argument("--m", type=int, required=True)
-    co.add_argument("--N", type=int, required=True)
-    co.add_argument("--out", required=True)
     co.set_defaults(func=_cmd_construct)
 
-    v = sub.add_parser("verify-construct",
+    v = sub.add_parser("verify-construct", parents=[tol_out],
                        help="verify the exact ranks of a constructed instance")
     v.add_argument("--in", dest="input", required=True)
-    v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify_construct)
 
-    r = sub.add_parser("recover", help="null-space recovery from (Y, A)")
-    r.add_argument("--Y", required=True)
-    r.add_argument("--A", required=True)
-    r.add_argument("--tol", type=float, default=None)
-    r.add_argument("--truth", default=None,
-                   help="instance file to report alignment errors against")
-    r.add_argument("--out", default=None)
+    r = sub.add_parser("recover", parents=[data, tol_out],
+                       help="null-space recovery from (Y, A)")
     r.set_defaults(func=_cmd_recover)
 
-    rs = sub.add_parser("recover-sparse",
+    rs = sub.add_parser("recover-sparse", parents=[data, tol_out, cells],
                         help="joint-sparse recovery with support search")
-    rs.add_argument("--Y", required=True)
-    rs.add_argument("--A", required=True)
     rs.add_argument("--s", type=int, required=True)
-    rs.add_argument("--tol", type=float, default=None)
-    rs.add_argument("--max-cells", type=int, default=model.DEFAULT_CELL_BUDGET)
-    rs.add_argument("--truth", default=None)
-    rs.add_argument("--out", default=None)
     rs.set_defaults(func=_cmd_recover_sparse)
 
     sw = sub.add_parser("sweep", help="run a phase-transition sweep")

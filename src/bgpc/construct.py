@@ -32,13 +32,14 @@ from .errors import DimensionError, InfeasibleConstructionError
 
 @dataclass(frozen=True)
 class ConstructedInstance:
+    # the field order is the key order of the JSON file (serialize.py)
     n: int
     m: int
     N: int
+    X0: np.ndarray                    # m x N
+    A: np.ndarray                     # n x m
     selected_cols: tuple[int, ...]    # 0-based DFT columns forming A
     complement_cols: tuple[int, ...]  # the unpicked columns
-    A: np.ndarray                     # n x m
-    X0: np.ndarray                    # m x N
     expected_left_null_dim: int
     # claim-2 variant only: row_order[i] is the final position of base row i
     row_order: tuple[int, ...] | None = None

@@ -9,8 +9,6 @@ independently of the order the grid runs in.
 
 from __future__ import annotations
 
-import json
-import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass
 
@@ -24,6 +22,7 @@ from .model import (DEFAULT_CELL_BUDGET, check_cell_budget, forward,
                     min_samples_joint_sparse, min_samples_subspace,
                     random_instance)
 from .recover import UNIQUE, recover
+from .serialize import dump_json, is_int
 
 CSV_HEADER = "mode,n,dim,N,threshold_met,trials,successes,rate,mean_runtime_ms,skipped_reason"
 
@@ -61,22 +60,24 @@ class SweepConfig:
             raise DimensionError(f"unknown sweep mode {self.mode!r}")
         for name in ("n", "trials", "base_seed", "max_cells", "m"):
             value = getattr(self, name)
-            if not (_is_int(value) or name == "m" and value is None):
+            if not (is_int(value) or name == "m" and value is None):
                 raise DimensionError(f"{name} must be an integer, got {value!r}")
         for name in ("dim_range", "N_range"):
             value = getattr(self, name)
-            if not (isinstance(value, list) and value and all(map(_is_int, value))):
+            if not (isinstance(value, list) and value and all(map(is_int, value))):
                 raise DimensionError(
                     f"{name} must be a nonempty list of integers, got {value!r}")
+        for name in ("check_recovery", "record_timing"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise DimensionError(f"{name} must be true or false, got {value!r}")
         if self.trials < 1:
             raise DimensionError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise DimensionError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.mode == JOINT_SPARSE and self.m is None:
             raise DimensionError("JointSparse sweeps need the dictionary size m")
         check_tolerance(self.tolerance)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def trial_seed(base_seed: int, mode: str, n: int, dim: int, N: int, t: int) -> int:
@@ -165,9 +166,7 @@ def write_csv(cells: list[PhaseCell], path) -> None:
 
 
 def write_json(cells: list[PhaseCell], path) -> None:
-    with open(path, "w") as fh:
-        json.dump([asdict(c) for c in cells], fh, indent=2)
-        fh.write("\n")
+    dump_json([asdict(c) for c in cells], path)
 
 
 def config_from_dict(d: dict) -> SweepConfig:

@@ -5,20 +5,35 @@ list of [re, im] pairs. Index sets (supports, selected DFT columns) are
 1-based on disk and 0-based in the Python API. Floats round-trip exactly:
 Python's json writer emits the shortest decimal that parses back to the
 same double.
+
+Records are written field by field, in dataclass field order: arrays as
+matrices, index tuples 1-based, and ``support`` or ``row_order`` left out
+when None. Readers take counts only as JSON integers and index sets only as
+lists of positive integers; anything else is a DimensionError naming the
+field.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import numbers
+from dataclasses import fields
 
 import numpy as np
 
-from .certify import CertificateReport
 from .construct import ConstructedInstance, VerificationRecord
 from .errors import DimensionError
 from .model import BGPCInstance
 from .recover import RecoveryResult
+
+_MATRICES = ("lambda0", "X0", "A")  # lambda0 is read back as a vector
+_INDEX_SETS = ("support", "selected_cols", "complement_cols", "row_order")
+_OPTIONAL = ("support", "row_order")  # omitted when None
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` reads as a Python bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _one_based(idx) -> list[int] | None:
@@ -26,111 +41,89 @@ def _one_based(idx) -> list[int] | None:
     return None if idx is None else [int(j) + 1 for j in idx]
 
 
-def _zero_based(idx) -> tuple[int, ...] | None:
-    """1-based on-disk index list to its 0-based tuple; None passes through."""
-    return None if idx is None else tuple(int(j) - 1 for j in idx)
-
-
 def matrix_to_dict(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=np.complex128)
+    M = np.ascontiguousarray(M, dtype=np.complex128)
     if M.ndim == 1:
         M = M[:, None]
     rows, cols = M.shape
-    flat = M.reshape(-1)  # row-major
-    return {
-        "rows": rows,
-        "cols": cols,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"rows": rows, "cols": cols,
+            "data": M.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def matrix_from_dict(d: dict, name: str = "matrix") -> np.ndarray:
     try:
-        rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
+        rows, cols, data = d["rows"], d["cols"], d["data"]
     except (KeyError, TypeError) as exc:
         raise DimensionError(f"{name}: malformed matrix object ({exc})") from exc
-    if rows < 1 or cols < 1:
-        raise DimensionError(f"{name}: rows and cols must be positive")
-    if len(data) != rows * cols:
-        raise DimensionError(
-            f"{name}: data length {len(data)} != rows*cols = {rows * cols}")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if len(pair) != 2:
-            raise DimensionError(f"{name}: data[{i}] is not a [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise ValueError(f"{name}: non-finite entries")
-    return out.reshape(rows, cols)
+    if not (is_int(rows) and is_int(cols) and rows >= 1 and cols >= 1):
+        raise DimensionError(f"{name}: rows and cols must be positive integers, "
+                             f"got {rows!r} and {cols!r}")
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionError(f"{name}: data must hold [re, im] number pairs ({exc})") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise DimensionError(f"{name}: data has shape {pairs.shape}, expected "
+                             f"rows*cols = {rows * cols} [re, im] pairs")
+    if not np.all(np.isfinite(pairs)):
+        raise DimensionError(f"{name}: non-finite entries (null, NaN or infinity)")
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
-def instance_to_dict(inst: BGPCInstance) -> dict:
-    d = {
-        "n": inst.n,
-        "m": inst.m,
-        "N": inst.N,
-        "lambda0": matrix_to_dict(inst.lambda0),
-        "X0": matrix_to_dict(inst.X0),
-        "A": matrix_to_dict(inst.A),
-    }
-    if inst.support is not None:
-        d["support"] = _one_based(inst.support)
+def _record_to_dict(rec) -> dict:
+    d = {}
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        if value is None and f.name in _OPTIONAL:
+            continue
+        if isinstance(value, np.ndarray):
+            value = matrix_to_dict(value)
+        elif isinstance(value, tuple):
+            value = _one_based(value)
+        d[f.name] = value
     return d
+
+
+def _field(d: dict, name: str, what: str):
+    """Field ``name`` of a record object, decoded and checked by its kind."""
+    if not isinstance(d, dict):
+        raise DimensionError(f"{what}: expected a JSON object, got {type(d).__name__}")
+    value = d.get(name)
+    if value is None and name in _OPTIONAL:
+        return None
+    if name not in d:
+        raise DimensionError(f"{what}: missing field {name!r}")
+    if name in _MATRICES:
+        M = matrix_from_dict(value, name)
+        return M.reshape(-1) if name == "lambda0" else M
+    if name in _INDEX_SETS:
+        if isinstance(value, list) and all(is_int(j) and j >= 1 for j in value):
+            return tuple(j - 1 for j in value)
+        raise DimensionError(f"{what}: {name} must be a list of 1-based "
+                             f"positive integers, got {value!r}")
+    if not is_int(value):
+        raise DimensionError(f"{what}: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _record_from_dict(cls, d: dict, what: str):
+    return cls(**{f.name: _field(d, f.name, what) for f in fields(cls)})
+
+
+# the record writers: every field, through one rule (see the module docstring)
+instance_to_dict = constructed_to_dict = report_to_dict = _record_to_dict
 
 
 def instance_from_dict(d: dict) -> BGPCInstance:
-    try:
-        n, m, N = int(d["n"]), int(d["m"]), int(d["N"])
-    except (KeyError, TypeError) as exc:
-        raise DimensionError(f"instance: missing field ({exc})") from exc
-    lambda0 = matrix_from_dict(d["lambda0"], "lambda0").reshape(-1)
-    X0 = matrix_from_dict(d["X0"], "X0")
-    A = matrix_from_dict(d["A"], "A")
-    return BGPCInstance(n=n, m=m, N=N, lambda0=lambda0, X0=X0, A=A,
-                        support=_zero_based(d.get("support")))
-
-
-def report_to_dict(rep: CertificateReport) -> dict:
-    return {**asdict(rep), "failing_support": _one_based(rep.failing_support)}
-
-
-def constructed_to_dict(ci: ConstructedInstance) -> dict:
-    d = {
-        "n": ci.n,
-        "m": ci.m,
-        "N": ci.N,
-        "X0": matrix_to_dict(ci.X0),
-        "A": matrix_to_dict(ci.A),
-        "selected_cols": _one_based(ci.selected_cols),
-        "complement_cols": _one_based(ci.complement_cols),
-        "expected_left_null_dim": ci.expected_left_null_dim,
-    }
-    if ci.row_order is not None:
-        d["row_order"] = _one_based(ci.row_order)
-    return d
+    return _record_from_dict(BGPCInstance, d, "instance")
 
 
 def constructed_from_dict(d: dict) -> ConstructedInstance:
-    try:
-        n, m, N = int(d["n"]), int(d["m"]), int(d["N"])
-        selected = _zero_based(d["selected_cols"])
-        complement = _zero_based(d["complement_cols"])
-        expected = int(d["expected_left_null_dim"])
-    except (KeyError, TypeError) as exc:
-        raise DimensionError(f"constructed instance: missing field ({exc})") from exc
-    return ConstructedInstance(
-        n=n, m=m, N=N,
-        selected_cols=selected,
-        complement_cols=complement,
-        A=matrix_from_dict(d["A"], "A"),
-        X0=matrix_from_dict(d["X0"], "X0"),
-        expected_left_null_dim=expected,
-        row_order=_zero_based(d.get("row_order")),
-    )
+    return _record_from_dict(ConstructedInstance, d, "constructed instance")
 
 
 def verification_to_dict(rec: VerificationRecord) -> dict:
-    d = asdict(rec)
+    d = _record_to_dict(rec)
     d["pass"] = d.pop("passed")
     return d
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bgpc.cli import EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, main
+from bgpc.cli import EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, build_parser, main
 from bgpc.serialize import (constructed_to_dict, dump_json, load_json,
                             matrix_to_dict)
 
@@ -105,6 +106,16 @@ class TestRecoverPipeline:
         monkeypatch.setenv("BGPC_TOL", "-1")
         assert run("recover", "--Y", str(Y), "--A", str(A)) == EXIT_INPUT_ERROR
 
+    def test_non_numeric_env_tolerance_names_the_variable(self, tmp_path,
+                                                          monkeypatch, capsys):
+        inst = tmp_path / "inst.json"
+        run("gen", "--n", "8", "--m", "4", "--N", "2", "--seed", "1",
+            "--out", str(inst))
+        monkeypatch.setenv("BGPC_TOL", "abc")
+        assert run("certify", "--instance", str(inst)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            "error: BGPC_TOL must be a number, got 'abc'\n"
+
     def test_degenerate_gamma_not_certified(self, tmp_path,
                                             degenerate_gamma_pair):
         Ym, Am = degenerate_gamma_pair
@@ -194,6 +205,9 @@ class TestSweep:
         ({"n": 10.5}, "n must be an integer"),
         ({"tolerance": -1e-9}, "tolerance must be a nonnegative real"),
         ({"N_range": None}, "N_range must be a nonempty list of integers"),
+        ({"record_timing": "no"}, "record_timing must be true or false"),
+        ({"check_recovery": 1}, "check_recovery must be true or false"),
+        ({"base_seed": -1}, "base_seed must be >= 0"),
     ])
     def test_malformed_config_is_input_error(self, tmp_path, capsys,
                                              change, message):
@@ -221,6 +235,72 @@ class TestSweep:
         assert proc.returncode == EXIT_INPUT_ERROR
         assert proc.stderr.startswith("error: ") and "sweep config" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# each subcommand's flags: option -> (dest, required, default, type)
+CELLS = ("max_cells", False, 10 ** 6, int)
+TOL_OUT = {"--tol": ("tol", False, None, float), "--out": ("out", False, None, None)}
+BUILD = {"--n": ("n", True, None, int), "--m": ("m", True, None, int),
+         "--N": ("N", True, None, int), "--out": ("out", True, None, None)}
+DATA = {"--Y": ("Y", True, None, None), "--A": ("A", True, None, None),
+        "--truth": ("truth", False, None, None)}
+FLAGS = {
+    "gen": {**BUILD, "--s": ("s", False, None, int),
+            "--seed": ("seed", True, None, int),
+            "--y-out": ("y_out", False, None, None),
+            "--a-out": ("a_out", False, None, None)},
+    "certify": {"--instance": ("instance", True, None, None), **TOL_OUT},
+    "certify-sparse": {"--instance": ("instance", True, None, None), **TOL_OUT,
+                       "--s": ("s", False, None, int), "--max-cells": CELLS},
+    "construct": BUILD,
+    "verify-construct": {"--in": ("input", True, None, None), **TOL_OUT},
+    "recover": {**DATA, **TOL_OUT},
+    "recover-sparse": {**DATA, **TOL_OUT, "--s": ("s", True, None, int),
+                       "--max-cells": CELLS},
+    "sweep": {"--config": ("config", True, None, None),
+              "--csv": ("csv", True, None, None),
+              "--json": ("json", False, None, None)},
+}
+
+
+def test_each_subcommand_accepts_exactly_its_flags():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(FLAGS)
+    for name, sub in subparsers.items():
+        flags = {opt: (a.dest, a.required, a.default, a.type)
+                 for a in sub._actions for opt in a.option_strings
+                 if opt not in ("-h", "--help")}
+        assert flags == FLAGS[name], name
+
+
+class TestMalformedInstanceFiles:
+    @pytest.mark.parametrize("change, message", [
+        ({"n": "8"}, "instance: n must be an integer"),
+        ({"N": 2.5}, "instance: N must be an integer"),
+        ({"support": "abc"}, "instance: support must be a list of 1-based"),
+        ({"support": [0, 2, 3]}, "instance: support must be a list of 1-based"),
+        ({"A": {"rows": 1.7, "cols": 4, "data": []}}, "A: rows and cols"),
+        ({"X0": {"rows": 4, "cols": 2, "data": [[None, 0]] * 8}},
+         "X0: non-finite entries"),
+    ])
+    def test_exit_1_naming_the_field(self, tmp_path, capsys, change, message):
+        inst = tmp_path / "inst.json"
+        run("gen", "--n", "8", "--m", "4", "--N", "2", "--s", "3",
+            "--seed", "1", "--out", str(inst))
+        inst.write_text(json.dumps({**load_json(inst), **change}))
+        assert run("certify-sparse", "--instance", str(inst)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: " + message)
+
+    def test_constructed_instance_exit_1_naming_the_field(self, tmp_path,
+                                                           capsys):
+        ci = tmp_path / "ci.json"
+        run("construct", "--n", "8", "--m", "4", "--N", "2", "--out", str(ci))
+        ci.write_text(json.dumps({**load_json(ci), "selected_cols": [0, 1]}))
+        assert run("verify-construct", "--in", str(ci)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "error: constructed instance: selected_cols must be a list")
 
 
 class TestErrors:

@@ -119,6 +119,18 @@ class TestConfigValidation:
         with pytest.raises(DimensionError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("check_recovery", "no"), ("check_recovery", 1),
+        ("record_timing", "no"), ("record_timing", 0), ("record_timing", None),
+    ])
+    def test_flags_must_be_booleans(self, field, value):
+        with pytest.raises(DimensionError, match=f"{field} must be true or false"):
+            small_config(**{field: value})
+
+    def test_negative_base_seed_rejected_before_any_trial(self):
+        with pytest.raises(DimensionError, match="base_seed must be >= 0"):
+            small_config(base_seed=-1)
+
     @pytest.mark.parametrize("m", ["8", 8.0, False])
     def test_bad_dictionary_size(self, m):
         with pytest.raises(DimensionError, match="m must be an integer"):

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bgpc import (certify_subspace, construct_claim1, construct_claim2,
                   forward, random_instance, recover, verify_claim1_rank)
@@ -8,6 +16,62 @@ from bgpc.serialize import (constructed_from_dict, constructed_to_dict,
                             instance_from_dict, instance_to_dict,
                             matrix_from_dict, matrix_to_dict, recovery_to_dict,
                             report_to_dict, verification_to_dict)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+# the per-entry codec and hand-written record writers that the vectorized
+# codec and the field-driven writer replaced, kept as references
+def reference_matrix_to_dict(M):
+    M = np.asarray(M, dtype=np.complex128)
+    if M.ndim == 1:
+        M = M[:, None]
+    rows, cols = M.shape
+    flat = M.reshape(-1)
+    return {"rows": rows, "cols": cols,
+            "data": [[float(z.real), float(z.imag)] for z in flat]}
+
+
+def reference_matrix_from_dict(d):
+    rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for i, pair in enumerate(data):
+        out[i] = complex(float(pair[0]), float(pair[1]))
+    return out.reshape(rows, cols)
+
+
+def reference_instance_to_dict(inst):
+    d = {"n": inst.n, "m": inst.m, "N": inst.N,
+         "lambda0": reference_matrix_to_dict(inst.lambda0),
+         "X0": reference_matrix_to_dict(inst.X0),
+         "A": reference_matrix_to_dict(inst.A)}
+    if inst.support is not None:
+        d["support"] = [j + 1 for j in inst.support]
+    return d
+
+
+def reference_constructed_to_dict(ci):
+    d = {"n": ci.n, "m": ci.m, "N": ci.N,
+         "X0": reference_matrix_to_dict(ci.X0),
+         "A": reference_matrix_to_dict(ci.A),
+         "selected_cols": [j + 1 for j in ci.selected_cols],
+         "complement_cols": [j + 1 for j in ci.complement_cols],
+         "expected_left_null_dim": ci.expected_left_null_dim}
+    if ci.row_order is not None:
+        d["row_order"] = [j + 1 for j in ci.row_order]
+    return d
+
+
+def bits(M):
+    return np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64)
+
+
+# finite doubles with the edge cases spelled out: signed zeros, subnormals
+# and the ends of the range
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestMatrixFormat:
@@ -40,6 +104,80 @@ class TestMatrixFormat:
             matrix_from_dict({"rows": 1, "cols": 1,
                               "data": [[float("inf"), 0.0]]})
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pairs=arrays(np.float64, st.tuples(st.integers(1, 5),
+                                              st.integers(1, 5), st.just(2)),
+                        elements=EDGE_FLOATS),
+           vector=st.booleans())
+    def test_matches_per_entry_reference_bitwise(self, pairs, vector):
+        M = pairs.view(np.complex128)[..., 0]
+        if vector:
+            M = M[:, 0]
+        d = matrix_to_dict(M)
+        ref = reference_matrix_to_dict(M)
+        assert json.dumps(d) == json.dumps(ref)
+        assert [[np.float64(x).tobytes() for x in p] for p in d["data"]] == \
+            [[np.float64(x).tobytes() for x in p] for p in ref["data"]]
+        back = json.loads(json.dumps(d))
+        np.testing.assert_array_equal(bits(matrix_from_dict(back)),
+                                      bits(reference_matrix_from_dict(back)))
+        np.testing.assert_array_equal(
+            bits(matrix_from_dict(back)),
+            bits(M if M.ndim == 2 else M[:, None]))
+
+    def test_non_contiguous_input(self):
+        M = np.arange(12.0).reshape(3, 4) - 1j * np.arange(12.0).reshape(3, 4)
+        assert matrix_to_dict(M.T) == reference_matrix_to_dict(M.T)
+        assert matrix_to_dict(M[:, ::2]) == reference_matrix_to_dict(M[:, ::2])
+
+
+GOOD = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+
+# (case id, malformed matrix object, words the error must contain)
+MALFORMED_MATRICES = [
+    ("null-entry", {**GOOD, "data": [[None, 0]]}, "non-finite"),
+    ("bare-number-pair", {**GOOD, "data": [5]}, "shape"),
+    ("data-is-number", {**GOOD, "data": 5}, "shape"),
+    ("data-is-string", {**GOOD, "data": "ab"}, "[re, im]"),
+    ("dict-pair", {**GOOD, "data": [{"re": 1, "im": 0}]}, "[re, im]"),
+    ("ragged-pair", {"rows": 2, "cols": 1, "data": [[1, 0], [2]]}, "[re, im]"),
+    ("triple", {**GOOD, "data": [[1, 0, 0]]}, "shape"),
+    ("nested-too-deep", {**GOOD, "data": [[[1, 0]]]}, "shape"),
+    ("huge-integer", {**GOOD, "data": [[10 ** 400, 0]]}, "[re, im]"),
+    ("rows-fraction", {**GOOD, "rows": 1.7}, "rows and cols"),
+    ("rows-true", {**GOOD, "rows": True}, "rows and cols"),
+    ("rows-zero", {"rows": 0, "cols": 1, "data": []}, "rows and cols"),
+    ("cols-string", {**GOOD, "cols": "1"}, "rows and cols"),
+    ("wrong-length", {"rows": 2, "cols": 2, "data": [[1, 0]] * 3}, "rows*cols = 4"),
+    ("non-finite", {**GOOD, "data": [[float("inf"), 0.0]]}, "non-finite"),
+    ("nan", {**GOOD, "data": [[0.0, float("nan")]]}, "non-finite"),
+    ("missing-data", {"rows": 1, "cols": 1}, "malformed"),
+    ("not-an-object", [[1, 0]], "malformed"),
+]
+
+
+class TestMalformedMatrices:
+    @pytest.mark.parametrize("case, d, words", MALFORMED_MATRICES,
+                             ids=[c[0] for c in MALFORMED_MATRICES])
+    def test_library_raises_naming_the_matrix(self, case, d, words):
+        with pytest.raises(DimensionError) as info:
+            matrix_from_dict(d, "A")
+        assert str(info.value).startswith("A: ") and words in str(info.value)
+
+    @pytest.mark.parametrize("case, d, words", MALFORMED_MATRICES,
+                             ids=[c[0] for c in MALFORMED_MATRICES])
+    def test_cli_exit_1_without_traceback(self, tmp_path, case, d, words):
+        Y, A = tmp_path / "Y.json", tmp_path / "A.json"
+        Y.write_text(json.dumps(GOOD))
+        A.write_text(json.dumps(d))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bgpc.cli", "recover", "--Y", str(Y),
+             "--A", str(A)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: A: ") and words in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestInstanceFormat:
     def test_round_trip_dense(self):
@@ -60,6 +198,40 @@ class TestInstanceFormat:
         inst = random_instance(8, 4, 2, seed=3)
         out = instance_from_dict(instance_to_dict(inst))
         np.testing.assert_array_equal(forward(out), forward(inst))
+
+    @pytest.mark.parametrize("inst", [
+        random_instance(8, 4, 2, seed=1),
+        random_instance(16, 8, 2, seed=2, sparsity=3),
+        random_instance(128, 96, 8, seed=3),
+    ], ids=["dense", "sparse", "large"])
+    def test_matches_hand_written_reference(self, inst):
+        assert json.dumps(instance_to_dict(inst), indent=2) == \
+            json.dumps(reference_instance_to_dict(inst), indent=2)
+
+    @pytest.mark.parametrize("change, words", [
+        ({"n": "8"}, "instance: n must be an integer, got '8'"),
+        ({"m": 4.7}, "instance: m must be an integer, got 4.7"),
+        ({"N": True}, "instance: N must be an integer, got True"),
+        ({"support": "abc"}, "instance: support must be a list of 1-based"),
+        ({"support": [0, 2, 3]}, "instance: support must be a list of 1-based"),
+        ({"support": [1.0, 2]}, "instance: support must be a list of 1-based"),
+        ({"A": {"rows": 8, "cols": 4, "data": 5}}, "A: data has shape"),
+        ({"lambda0": None}, "lambda0: malformed matrix object"),
+    ])
+    def test_malformed_fields_rejected_by_name(self, change, words):
+        d = {**instance_to_dict(random_instance(8, 4, 2, seed=1,
+                                                sparsity=2)), **change}
+        with pytest.raises(DimensionError) as info:
+            instance_from_dict(d)
+        assert str(info.value).startswith(words)
+
+    def test_missing_field_or_non_object_rejected(self):
+        d = instance_to_dict(random_instance(8, 4, 2, seed=1))
+        del d["N"]
+        with pytest.raises(DimensionError, match="instance: missing field 'N'"):
+            instance_from_dict(d)
+        with pytest.raises(DimensionError, match="expected a JSON object"):
+            instance_from_dict([1, 2])
 
 
 class TestReportFormats:
@@ -90,6 +262,26 @@ class TestReportFormats:
         assert out.row_order == ci.row_order
         np.testing.assert_array_equal(out.X0, ci.X0)
         assert "row_order" not in constructed_to_dict(construct_claim1(8, 4, 2))
+
+    @pytest.mark.parametrize("ci", [
+        construct_claim1(8, 4, 2),
+        construct_claim1(128, 96, 8),
+        construct_claim2(12, 8, 3, 2, [1, 4, 6], [0, 4, 7]),
+    ], ids=["claim1", "claim1-large", "claim2"])
+    def test_constructed_matches_hand_written_reference(self, ci):
+        assert json.dumps(constructed_to_dict(ci), indent=2) == \
+            json.dumps(reference_constructed_to_dict(ci), indent=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "8"), ("N", 2.0), ("expected_left_null_dim", "1"),
+        ("selected_cols", [0, 1, 3, 5]), ("complement_cols", "3"),
+        ("row_order", [2, 3, -1]),
+    ])
+    def test_constructed_malformed_fields_rejected_by_name(self, field, value):
+        d = {**constructed_to_dict(construct_claim1(8, 4, 2)), field: value}
+        with pytest.raises(DimensionError,
+                           match=f"^constructed instance: {field} must be"):
+            constructed_from_dict(d)
 
     def test_verification_record_keys(self):
         rec = verify_claim1_rank(construct_claim1(8, 4, 2))
