@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .cxmat import EPS, as_cmatrix, numeric_rank
+from .cxmat import EPS, as_cmatrix, numeric_rank, rank_decision
 from .errors import DimensionError
 from .model import DEFAULT_CELL_BUDGET, check_cell_budget
 
@@ -178,7 +179,13 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     The certificate matrix is built once: since X0 vanishes off J0, the
     restriction to J (:func:`build_stacked_restricted`) is exactly the
     columns t*m + j, j in J, t < N, of :func:`build_stacked`. A cell then
-    costs one column gather and one values-only SVD.
+    costs one column gather and one values-only SVD. For m >= 2s, each
+    cell is a column subset, with the same rows, of a cell with J1 disjoint
+    from J0, so its sigma_min is no smaller and its sigma_max and cutoff
+    (max(rows, cols) eps sigma_max, or ``tol``) no larger. When those
+    C(m - s, s) cells pass clear of 10x their cutoff and of the default one
+    (a bound on rounding), all cells pass and the last one is factored for
+    the report; otherwise every cell is decided in order.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     n, m = A.shape
@@ -195,13 +202,27 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     cond2 = _lambda_uniqueness(A, X0, lambda0)
     S = build_stacked(A, X0)
     block_starts = np.arange(N)[:, None] * m
-    failing = None
-    for checked, J1 in enumerate(combinations(range(m), s), start=1):
+
+    def cell(J1):
         J = sorted(J0 | set(J1))
-        rr = numeric_rank(S[:, (block_starts + J).ravel()], tol=tol)
-        if rr.numeric_rank != len(J) * N:
-            failing = tuple(J1)
-            break
+        return J, numeric_rank(S[:, (block_starts + J).ravel()], tol=tol)
+
+    def clear(J1):  # full rank, clear of 10x its cutoff and the default one
+        J, rr = cell(J1)
+        floor = rank_decision(rr.singular_values, (S.shape[0], len(J) * N))
+        return all(r.numeric_rank == len(J) * N and not r.marginal for r in (rr, floor))
+
+    failing = None
+    disjoint = combinations(sorted(set(range(m)) - J0), s)
+    if m >= 2 * s and all(map(clear, disjoint)):
+        J, rr = cell(range(m - s, m))
+        checked = comb(m, s)
+    else:
+        for checked, J1 in enumerate(combinations(range(m), s), start=1):
+            J, rr = cell(J1)
+            if rr.numeric_rank != len(J) * N:
+                failing = tuple(J1)
+                break
     cond1 = failing is None
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
     return CertificateReport(

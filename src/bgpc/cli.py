@@ -16,8 +16,8 @@ from . import certify, construct, experiment, model, serialize
 from .recover import UNIQUE as RECOVERY_UNIQUE
 from .recover import recover as run_recovery
 from .recover import recover_joint_sparse as run_recovery_sparse
-from .errors import (BudgetExceededError, InconsistentSystemError,
-                     InfeasibleConstructionError)
+from .errors import (BudgetExceededError, DimensionError,
+                     InconsistentSystemError, InfeasibleConstructionError)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -96,38 +96,36 @@ def _cmd_verify_construct(args) -> int:
     return EXIT_OK if rec.passed else EXIT_NOT_CERTIFIED
 
 
-def _report_alignment(res, truth_path) -> None:
-    inst = serialize.instance_from_dict(serialize.load_json(truth_path))
-    ax = model.align_scale(res.X, inst.X0)
-    al = model.align_scale(res.lam[:, None], inst.lambda0[:, None])
-    print(f"relative error: X {ax.relative_error:.3e}, "
-          f"lambda {al.relative_error:.3e}")
+def _load_truth(path, Y, A):
+    """The --truth instance, checked against (Y, A) before any solving."""
+    inst = serialize.instance_from_dict(serialize.load_json(path)) if path else None
+    if inst is not None and (inst.n, inst.m, inst.N) != (*A.shape, Y.shape[1]):
+        raise DimensionError(
+            f"truth {path}: instance (n, m, N) {(inst.n, inst.m, inst.N)} "
+            f"differs from (Y, A)'s {(*A.shape, Y.shape[1])}")
+    return inst
 
 
 def _cmd_recover(args) -> int:
     Y = serialize.matrix_from_dict(serialize.load_json(args.Y), "Y")
     A = serialize.matrix_from_dict(serialize.load_json(args.A), "A")
-    res = run_recovery(Y, A, tol=_tol_from_env(args.tol))
+    truth = _load_truth(args.truth, Y, A)
+    tol = _tol_from_env(args.tol)
+    if args.command == "recover":
+        res = run_recovery(Y, A, tol=tol)
+        detail = f" (null dim {res.null_dim})"
+    else:
+        res = run_recovery_sparse(Y, A, args.s, tol=tol, max_cells=args.max_cells)
+        detail = ("" if res.support is None
+                  else " support " + ",".join(str(j + 1) for j in res.support))
     if args.out:
         serialize.dump_json(serialize.recovery_to_dict(res), args.out)
-    print(f"recovery: {res.status} (null dim {res.null_dim})")
-    if res.status == RECOVERY_UNIQUE and args.truth:
-        _report_alignment(res, args.truth)
-    return EXIT_OK if res.status == RECOVERY_UNIQUE else EXIT_NOT_CERTIFIED
-
-
-def _cmd_recover_sparse(args) -> int:
-    Y = serialize.matrix_from_dict(serialize.load_json(args.Y), "Y")
-    A = serialize.matrix_from_dict(serialize.load_json(args.A), "A")
-    res = run_recovery_sparse(Y, A, args.s, tol=_tol_from_env(args.tol),
-                              max_cells=args.max_cells)
-    if args.out:
-        serialize.dump_json(serialize.recovery_to_dict(res), args.out)
-    sup = ("" if res.support is None
-           else " support " + ",".join(str(j + 1) for j in res.support))
-    print(f"recovery: {res.status}{sup}")
-    if res.status == RECOVERY_UNIQUE and args.truth:
-        _report_alignment(res, args.truth)
+    print(f"recovery: {res.status}{detail}")
+    if res.status == RECOVERY_UNIQUE and truth is not None:
+        ax = model.align_scale(res.X, truth.X0)
+        al = model.align_scale(res.lam[:, None], truth.lambda0[:, None])
+        print(f"relative error: X {ax.relative_error:.3e}, "
+              f"lambda {al.relative_error:.3e}")
     return EXIT_OK if res.status == RECOVERY_UNIQUE else EXIT_NOT_CERTIFIED
 
 
@@ -210,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs = sub.add_parser("recover-sparse", parents=[data, tol_out, cells],
                         help="joint-sparse recovery with support search")
     rs.add_argument("--s", type=int, required=True)
-    rs.set_defaults(func=_cmd_recover_sparse)
+    rs.set_defaults(func=_cmd_recover)
 
     sw = sub.add_parser("sweep", help="run a phase-transition sweep")
     sw.add_argument("--config", required=True)

@@ -23,11 +23,10 @@ reduced one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .cxmat import as_cmatrix, check_tolerance, rank_decision
+from .cxmat import EPS, as_cmatrix, check_tolerance, rank_decision
 from .errors import DimensionError, InconsistentSystemError
 from .model import DEFAULT_CELL_BUDGET, align_scale, check_cell_budget
 
@@ -39,6 +38,8 @@ DEGENERATE_GAMMA = "DegenerateGamma"
 DEFAULT_GAMMA_TOL = 1e-8
 # supports whose embedded solutions align within this are one equivalence class
 EQUIVALENCE_TOL = 1e-6
+# margin on the joint-sparse subtree screen for the rounding of Q_perp and SVDs
+SCREEN_SAFETY = 4.0
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,16 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     requires all kept supports to yield scale-equivalent solutions; the
     reported support is the first (lexicographically minimal) passing one.
 
-    A cell costs one SVD of A[:, J] and one values-only SVD of its reduced
-    system G. When A[:, J] has full column rank and G has full column rank
-    n clear of the cutoff (not marginal, cutoff > 0), the cell's null space
-    is trivial and it is ruled out from the singular values alone; the full
-    SVD of G would cut it the same way, since the two sets of singular
-    values differ by a few eps * sigma_max. Every other cell is solved as
-    in :func:`recover`.
+    Cells are ruled out a subtree at a time: below a node of the
+    lexicographic tree lie the s-subsets J of K = prefix + {i..m-1}. As
+    range(A_J) lies in range(A_K), Q_perp,K = Q_perp,J T with T orthonormal:
+    G_K = (I_N kron T^H) G_J, so sigma_n(G_J) >= sigma_n(G_K). Every cell's
+    cutoff is at most ``tol`` or max((n-s)N, n) eps sqrt(N) max|Y|, since
+    sqrt(N) max|Y| bounds each row norm of Y and so sigma_max(G_J). If A_K
+    has full column rank clear of its cutoff and sigma_n(G_K) clears 10x
+    that bound, by a safety factor for the computed Q_perp, every cell below
+    has null_dim 0 clear of its cutoff and is skipped. At |K| = s this is
+    one cell's screen; the cells left are solved as in :func:`recover`.
     """
     Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
@@ -160,16 +164,36 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     if not (n > 2 * s):
         raise DimensionError("joint-sparse recovery requires n > 2s")
     check_cell_budget(m, s, max_cells)
+    y_max = N ** 0.5 * float(np.max(np.abs(Y)))
+    bound = tol if tol is not None else max((n - s) * N, n) * EPS * y_max
+
+    def ruled_out(K) -> bool:
+        if bound <= 0 or (n - len(K)) * N < n:
+            return False
+        _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])
+        if sA[-1] <= 10 * SCREEN_SAFETY * n * EPS * sA[0]:
+            return False
+        q_err = n * EPS * y_max * sA[0] / sA[-1]
+        sG = np.linalg.svd(G, compute_uv=False)  # n values: G has >= n rows
+        return sG[-1] > SCREEN_SAFETY * (10 * bound + q_err)
+
+    def cells(prefix, start):
+        # lexicographic cells prefix + J', J' in {start..m-1}, not ruled out
+        if len(prefix) == s:
+            if not ruled_out(prefix):
+                yield prefix
+            return
+        for j in range(start, m - s + len(prefix) + 1):
+            # K = prefix + (j..m-1) shrinks as j grows, so the first K ruled
+            # out ends the loop; at j = start it is the caller's own K
+            if (j > start or not prefix) and ruled_out(prefix + tuple(range(j, m))):
+                return
+            yield from cells(prefix + (j,), j + 1)
+
     hits = []
     max_null = 0
-    for J in combinations(range(m), s):
-        AJ = A[:, list(J)]
-        *_, r, G = _gamma_system(Y, AJ)
-        if r == s:
-            rr = rank_decision(np.linalg.svd(G, compute_uv=False), G.shape, tol)
-            if rr.numeric_rank == n and rr.tolerance_used > 0 and not rr.marginal:
-                continue  # null_dim 0, below the running maximum
-        null_dim, gamma, XJ = _solve_gamma(Y, AJ, tol)
+    for J in cells((), 0):
+        null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
         max_null = max(max_null, null_dim)
         if gamma is None or _degenerate(gamma, gamma_tol):
             continue

@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,10 @@ from bgpc import (BudgetExceededError, DimensionError, IDENTIFIABLE,
                   NOT_CERTIFIED, build_D_block, build_D_stack, build_stacked,
                   build_stacked_restricted, certify_joint_sparse,
                   certify_subspace, random_instance)
+from bgpc.certify import (JOINT_SPARSE, CertificateReport, _lambda_uniqueness,
+                          _normalized)
 from bgpc.construct import construct_claim1
+from bgpc.cxmat import numeric_rank
 
 
 def vec(X):
@@ -288,3 +292,80 @@ class TestCertifyJointSparse:
         assert rep.support_cells_checked >= 1
         union = set(inst.support) | set(rep.failing_support)
         assert len(union) * 2 > rep.stacked_rank
+
+
+def certify_every_cell(A, X0, lambda0, s, tol=None):
+    """The joint-sparse certificate deciding every cell in lexicographic order."""
+    A, X0, lambda0 = _normalized(A, X0, lambda0)
+    m, N = X0.shape
+    J0 = set(np.flatnonzero(np.any(X0 != 0, axis=1)).tolist())
+    cond2 = _lambda_uniqueness(A, X0, lambda0)
+    S = build_stacked(A, X0)
+    failing = None
+    for checked, J1 in enumerate(combinations(range(m), s), start=1):
+        J = sorted(J0 | set(J1))
+        rr = numeric_rank(S[:, (np.arange(N)[:, None] * m + J).ravel()], tol=tol)
+        if rr.numeric_rank != len(J) * N:
+            failing = tuple(J1)
+            break
+    cond1 = failing is None
+    return CertificateReport(
+        mode=JOINT_SPARSE,
+        verdict=IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED,
+        condition1_rank_full=cond1,
+        condition2_lambda_unique=cond2,
+        stacked_rank=rr.numeric_rank,
+        required_rank=len(J) * N,
+        tolerance_used=rr.tolerance_used,
+        support_cells_checked=checked,
+        failing_support=failing,
+    )
+
+
+def duplicate_column(inst, inside):
+    """A with one column copied onto another, both inside or both outside J0."""
+    pool = inst.support if inside else [j for j in range(inst.m)
+                                        if j not in inst.support]
+    A = inst.A.copy()
+    A[:, pool[-1]] = A[:, pool[0]]
+    return A
+
+
+class TestDisjointCellScreen:
+    """Deciding the cells disjoint from J0 first changes no report field."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n, m, s, N", [
+        (20, 12, 3, 3), (16, 10, 2, 4), (14, 8, 3, 2),
+        (10, 5, 3, 3),  # m < 2s: no disjoint cell
+    ])
+    @pytest.mark.parametrize("variant", [
+        "plain", "dup_outside", "dup_inside", "tol", "tol0", "large", "small"])
+    def test_matches_deciding_every_cell(self, seed, n, m, s, N, variant):
+        inst = random_instance(n, m, N, seed=seed, sparsity=s)
+        A, X0, tol = inst.A, inst.X0, None
+        if variant.startswith("dup"):
+            A = duplicate_column(inst, inside=variant == "dup_inside")
+        elif variant.startswith("tol"):
+            tol = 1e-9 if variant == "tol" else 0.0
+        elif variant != "plain":
+            X0 = X0 * (1e300 if variant == "large" else 1e-300)
+        rep = certify_joint_sparse(A, X0, inst.lambda0, s, tol=tol)
+        assert rep == certify_every_cell(A, X0, inst.lambda0, s, tol=tol)
+        if variant == "dup_outside":  # fails in a disjoint cell
+            assert rep.verdict == NOT_CERTIFIED
+        elif variant != "dup_inside":
+            assert rep.verdict == IDENTIFIABLE
+
+    def test_disjoint_cells_only(self, monkeypatch):
+        # C(9, 3) = 84 disjoint cells and the last cell; a regression to
+        # deciding all 220 cells fails here without any timing
+        module = importlib.import_module("bgpc.certify")
+        calls = []
+        monkeypatch.setattr(module, "numeric_rank",
+                            lambda *a, **k: calls.append(1) or numeric_rank(*a, **k))
+        inst = random_instance(20, 12, 3, seed=5, sparsity=3)
+        rep = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 3)
+        assert rep.verdict == IDENTIFIABLE
+        assert rep.support_cells_checked == 220
+        assert len(calls) <= 85

@@ -89,6 +89,24 @@ class TestRecoverPipeline:
         text = capsys.readouterr().out
         assert "relative error" in text
 
+    @pytest.mark.parametrize("command", [["recover"], ["recover-sparse", "--s", "2"]])
+    def test_truth_of_other_dimensions_is_input_error(self, tmp_path, capsys,
+                                                       command):
+        Y, A = tmp_path / "Y.json", tmp_path / "A.json"
+        truth, out = tmp_path / "truth.json", tmp_path / "res.json"
+        run("gen", "--n", "8", "--m", "4", "--N", "2", "--s", "2", "--seed", "1",
+            "--out", str(tmp_path / "inst.json"), "--y-out", str(Y), "--a-out", str(A))
+        run("gen", "--n", "16", "--m", "8", "--N", "2", "--seed", "1",
+            "--out", str(truth))
+        assert run(*command, "--Y", str(Y), "--A", str(A), "--truth", str(truth),
+                   "--out", str(out)) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: truth {truth}: instance (n, m, N) (16, 8, 2) differs from "
+            "(Y, A)'s (8, 4, 2)")
+        assert "recovery:" not in captured.out
+        assert not out.exists()
+
     def test_ambiguous_exit_2(self, tmp_path):
         inst = tmp_path / "inst.json"
         Y = tmp_path / "Y.json"

@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations
 
 import numpy as np
@@ -267,6 +268,15 @@ def solve_every_cell(Y, A, s, tol):
     return UNIQUE, 1, tuple(J_ref), X_ref
 
 
+def assert_matches_every_cell(Y, A, s, tol):
+    """recover_joint_sparse agrees with solve_every_cell, X bitwise."""
+    status, null_dim, support, X = solve_every_cell(Y, A, s, tol)
+    res = recover_joint_sparse(Y, A, s, tol=tol)
+    assert (res.status, res.null_dim, res.support) == (status, null_dim, support)
+    assert res.X is None if X is None else res.X.tobytes() == X.tobytes()
+    return support
+
+
 class TestJointSparseScreen:
     """Cells ruled out from singular values alone change no result.
 
@@ -286,13 +296,7 @@ class TestJointSparseScreen:
         if duplicate:
             A[:, 5] = A[:, 1]
         Y = inst.lambda0[:, None] * (A @ inst.X0) + noise
-        status, null_dim, support, X = solve_every_cell(Y, A, 3, tol)
-        res = recover_joint_sparse(Y, A, 3, tol=tol)
-        assert (res.status, res.null_dim, res.support) == (status, null_dim, support)
-        if X is None:
-            assert res.X is None
-        else:
-            assert res.X.tobytes() == X.tobytes()
+        assert_matches_every_cell(Y, A, 3, tol)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_cutoff_at_the_smallest_singular_value(self, seed):
@@ -304,11 +308,30 @@ class TestJointSparseScreen:
         Y = forward(inst) + 1e-9
         *_, G = _gamma_system(Y, inst.A[:, list(inst.support)])
         tol = float(np.linalg.svd(G, full_matrices=True)[1][-1])
-        status, null_dim, support, X = solve_every_cell(Y, inst.A, 3, tol)
-        assert support == inst.support
-        res = recover_joint_sparse(Y, inst.A, 3, tol=tol)
-        assert (res.status, res.null_dim, res.support) == (status, null_dim, support)
-        assert res.X.tobytes() == X.tobytes()
+        assert assert_matches_every_cell(Y, inst.A, 3, tol) == inst.support
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n, m, s, N, tol", [
+        (20, 12, 3, 3, None), (16, 10, 2, 4, None),
+        (14, 8, 3, 1, None),  # N = 1: G_K has fewer than n rows, no pruning
+        (14, 8, 3, 2, 0.0),   # tol = 0: the cutoff bound is 0, no pruning
+    ])
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_subtree_screen_matches_solving_every_cell(self, seed, n, m, s, N,
+                                                       tol, noise):
+        inst = random_instance(n, m, N, seed=seed, sparsity=s)
+        assert_matches_every_cell(forward(inst) + noise, inst.A, s, tol)
+
+    def test_only_the_planted_cell_is_solved(self, monkeypatch):
+        # a regression to solving every cell fails here without any timing
+        module = importlib.import_module("bgpc.recover")
+        calls = []
+        monkeypatch.setattr(module, "_solve_gamma",
+                            lambda *a: calls.append(a) or _solve_gamma(*a))
+        inst = random_instance(20, 12, 3, seed=5, sparsity=3)
+        res = recover_joint_sparse(forward(inst), inst.A, 3)
+        assert res.status == UNIQUE and res.support == inst.support
+        assert len(calls) == 1
 
 
 class TestOracleAgreement:
