@@ -10,6 +10,55 @@ When both hold the instance is certified identifiable up to scaling.
 A certificate that fails is reported as ``NotCertified``: failure of the
 numeric rank test does not prove non-identifiability for a specific
 borderline instance, so the verdict never claims "not identifiable".
+
+Condition 1 by block elimination. S = [vec(X0)^H; D] is (1 + n(N-1)) x mN.
+With W = A X0 and M_j = diag(w_j) A, the rows of D grouped by snapshot
+j >= 1 (a row permutation) are [-M_j, 0, .., M_0, .., 0], M_0 in column
+block j. Take the full QR M_0 = Q [R; 0] and apply Q^H to every block row
+(unitary): block row j becomes [-K_j, 0, .., [R; 0], .., 0] with
+K_j = Q^H M_j, split into its top m rows K_j^top and the rest B_j. If R
+is invertible, the column operation x_j = z_j + R^-1 K_j^top x_0, j >= 1
+(E: identity plus the blocks R^-1 K_j^top under the first block column)
+clears every K_j^top. With U the unitary that regroups the rows, applies
+Q^H and moves the rows of the R blocks last,
+
+    U S E = [[T, C], [0, I kron R]],
+    T = [x_0^H + sum_j x_j^H R^-1 K_j^top; B_1; ..; B_{N-1}],
+
+up to the signs of the B_j rows, with x_j = X0[:, j] and C zero except in
+T's first row, which it extends by [x_1^H, .., x_{N-1}^H]. So
+rank(S) = (N-1) m + rank(T): rank(S) = mN exactly when the
+(1 + (n-m)(N-1)) x m matrix T has full column rank (225 x 96 against
+897 x 768 for S at n=128, m=96, N=8), and never when T is wide.
+
+The bound. Let r = sigma_min(R), t = sigma_min(T) and
+eta = ||C|| / r = ||X0[:, 1:]||_F / r. For a unit (u, z), v = (I kron R) z
+has ||v|| >= r ||z|| and ||C z|| <= eta ||v||, so the squared norm of
+[[T, C], [0, I kron R]] (u, z) is at least (t ||u|| - eta ||v||)_+^2 + ||v||^2,
+which is at least t^2 ||u||^2 / (1 + eta^2), and at least r^2 ||z||^2.
+One of ||u||^2, ||z||^2 is at least 1/2, hence
+sigma_min(U S E) >= min(r, t / sqrt(1 + eta^2)) / sqrt(2). As
+sigma_min(S) = sigma_min(U S) >= sigma_min(U S E) / ||E|| and
+||E|| <= 1 + ||K^top||_F / r, with K^top all K_j^top stacked,
+
+    sigma_min(S) >= min(r, t / sqrt(1 + eta^2)) / (sqrt(2) (1 + ||K^top||_F / r)).
+
+Rounding. Householder QR and the products Q^H M_j are backward stable:
+the computed R and K_j are exact for S perturbed by about n eps ||S||_F,
+subtracted from the bound. T's first row is formed as
+x_0^H + sum_j y_j^H K_j^top with R^H y_j = x_j; that solve is exact for R
+perturbed by m eps ||R||, which moves the row by at most
+m eps ||R|| ||X0[:, 1:]||_F ||K^top||_F / r^2 (Cauchy-Schwarz), plus
+m eps ||X0||_F for the sum. The SVDs of R and T err by their default
+cutoffs; r is lowered by R's, and as the bound grows with r, that covers
+every use of r. Each term is inflated by ``SCREEN_SAFETY``.
+
+||S||_F^2 = ||X0||_F^2 + sum_k ||a_k||^2 (||w_k||^2 + (N-2) |w_k0|^2), so the
+default cutoff max(rows, cols) eps sigma_max(S) is at most
+max(rows, cols) eps ||S||_F. :func:`certify_subspace` reports a pass from
+the bound alone when it clears 10x that and any explicit ``tol``;
+otherwise (a wide T, a singular or marginal R, or a bound that is not
+clear) it factors S as before.
 """
 
 from __future__ import annotations
@@ -20,7 +69,8 @@ from math import comb
 
 import numpy as np
 
-from .cxmat import EPS, as_cmatrix, numeric_rank, rank_decision
+from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance,
+                    default_cutoff, numeric_rank, pow2_scaled, rank_decision)
 from .errors import DimensionError
 from .model import DEFAULT_CELL_BUDGET, check_cell_budget
 
@@ -99,15 +149,6 @@ def build_stacked_restricted(A, X0, J) -> np.ndarray:
     return build_stacked(A[:, J], X0[J, :])
 
 
-def _unit_scale(M: np.ndarray) -> np.ndarray:
-    """M times the power of two that puts its largest modulus in [0.5, 1).
-
-    Scaling by a power of two is exact, so only the units of M change.
-    """
-    _, e = np.frexp(np.max(np.abs(M)))
-    return np.ldexp(np.ascontiguousarray(M).view(np.float64), -e).view(np.complex128)
-
-
 def _normalized(A, X0, lambda0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check an instance and rescale A, X0 and lambda0 each to unit size.
 
@@ -123,7 +164,7 @@ def _normalized(A, X0, lambda0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionError("inconsistent instance dimensions")
     if X0.shape[1] < 2:
         raise DimensionError("certificate requires N >= 2 snapshots")
-    return _unit_scale(A), _unit_scale(X0), _unit_scale(lambda0)
+    return pow2_scaled(A)[0], pow2_scaled(X0)[0], pow2_scaled(lambda0)[0]
 
 
 def _lambda_uniqueness(A, X0, lambda0) -> bool:
@@ -141,27 +182,98 @@ def _lambda_uniqueness(A, X0, lambda0) -> bool:
     return rows_ok and lam_ok
 
 
+def _elimination_bound(R, K, X0) -> float:
+    """Lower bound on sigma_min(S), net of rounding, from the eliminated form.
+
+    R is m x m and K holds K_j = Q^H diag(w_j) A, j = 1..N-1, shape
+    (N-1, n, m) with n >= m and 1 + (n-m)(N-1) >= m; see the module
+    docstring. Returns 0 when R is singular or marginal.
+    """
+    m = X0.shape[0]
+    sR = np.linalg.svd(R, compute_uv=False)
+    r_err = SCREEN_SAFETY * default_cutoff(R.shape, sR[0])
+    if not sR[-1] > 10 * r_err:
+        return 0.0
+    r = sR[-1] - r_err
+    K_top = K[:, :m]
+    c, k = float(np.linalg.norm(X0[:, 1:])), float(np.linalg.norm(K_top))
+    # x_j^H R^-1 K_j^top = y_j^H K_j^top with R^H y_j = x_j
+    Yh = np.linalg.solve(R.conj().T, X0[:, 1:]).T.conj()
+    t0 = X0[:, 0].conj() + np.einsum("ji,jik->k", Yh, K_top)
+    T = np.vstack([t0[None, :], K[:, m:].reshape(-1, m)])
+    sT = np.linalg.svd(T, compute_uv=False)
+    t_err = SCREEN_SAFETY * (default_cutoff(T.shape, np.linalg.norm(T))
+                             + default_cutoff(R.shape, np.linalg.norm(X0)
+                                              + sR[0] * c * k / r ** 2))
+    t = (sT[-1] - t_err) / np.sqrt(1 + (c / r) ** 2)
+    return float(min(r, t) / (np.sqrt(2) * (1 + k / r)))
+
+
+def _stacked_bound(A, X0) -> tuple[float, float]:
+    """(lower bound on sigma_min(S) net of rounding, ||S||_F) for
+    S = build_stacked(A, X0), without forming S; needs n >= m and
+    1 + (n-m)(N-1) >= m."""
+    N = X0.shape[1]
+    W = A @ X0
+    Q, R = np.linalg.qr(W[:, :1] * A, mode="complete")
+    K = Q.conj().T @ (W[:, 1:].T[:, :, None] * A)
+    W2 = np.abs(W) ** 2  # ||S||_F in closed form, see the module docstring
+    s_norm = float(np.sqrt(np.sum(np.abs(X0) ** 2) + np.sum(np.abs(A) ** 2, axis=1)
+                           @ (np.sum(W2, axis=1) + (N - 2) * W2[:, 0])))
+    low = (_elimination_bound(R[:A.shape[1]], K, X0)
+           - SCREEN_SAFETY * default_cutoff(A.shape, s_norm))
+    return low, s_norm
+
+
+def full_rank_screen(A, X0, tol: float | None = None) -> float | None:
+    """``tolerance_used`` of a certified rank(build_stacked(A, X0)) = mN, or
+    None when the bound of the module docstring cannot decide.
+
+    The stacked matrix S is never formed: one QR of diag(w_0) A, N - 1
+    products with Q^H and SVDs of R and T. The tolerance is ``tol``, or
+    max(rows, cols) eps ||S||_F, a bound on the default cutoff; a pass is
+    reported only when the bound on sigma_min(S) clears 10x both.
+    """
+    check_tolerance(tol)
+    n, m = A.shape
+    N = X0.shape[1]
+    if 1 + (n - m) * (N - 1) < m:  # T is wide: rank(S) < mN
+        return None
+    low, s_norm = _stacked_bound(A, X0)
+    cutoff = default_cutoff((1 + n * (N - 1), m * N), s_norm)
+    if not low > 10 * max(cutoff, tol or 0.0):
+        return None
+    return cutoff if tol is None else float(tol)
+
+
 def certify_subspace(A, X0, lambda0, tol: float | None = None) -> CertificateReport:
     """Decide the subspace-model certificate for (A, X0, lambda0).
 
     A, X0 and lambda0 are first scaled to unit size by exact powers of two,
     so the verdict does not depend on their units; an explicit ``tol`` cuts
     the singular values of the certificate matrix built from the scaled pair.
+    Condition 1 is decided by :func:`full_rank_screen` when it can, and
+    otherwise by one SVD of the certificate matrix.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     m, N = X0.shape
     cond2 = _lambda_uniqueness(A, X0, lambda0)
-    rr = numeric_rank(build_stacked(A, X0), tol=tol)
-    cond1 = rr.numeric_rank == m * N
+    screened = full_rank_screen(A, X0, tol)
+    if screened is None:
+        rr = numeric_rank(build_stacked(A, X0), tol=tol)
+        rank, tolerance = rr.numeric_rank, rr.tolerance_used
+    else:
+        rank, tolerance = m * N, screened
+    cond1 = rank == m * N
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
     return CertificateReport(
         mode=SUBSPACE,
         verdict=verdict,
         condition1_rank_full=cond1,
         condition2_lambda_unique=cond2,
-        stacked_rank=rr.numeric_rank,
+        stacked_rank=rank,
         required_rank=m * N,
-        tolerance_used=rr.tolerance_used,
+        tolerance_used=tolerance,
     )
 
 

@@ -3,8 +3,10 @@
 Everything downstream (certificates, constructions, recovery) runs through
 the helpers in this module: DFT matrices and the one rank decision. Every
 numeric rank in the package comes from :func:`rank_decision`, which owns
-the default cutoff ``max(rows, cols) * eps * sigma_max``, the check that an
-explicit cutoff is nonnegative, and the flag for a marginal call.
+the check that an explicit cutoff is nonnegative and the flag for a
+marginal call. The default cutoff ``max(rows, cols) * eps * sigma_max`` is
+:func:`default_cutoff`; the screens that decide a rank from a bound, with
+no SVD of the matrix itself, use the same rule for their rounding terms.
 
 Matrices are plain ``numpy.ndarray`` of dtype complex128, treated as
 immutable values: every operation returns a fresh array and never mutates
@@ -21,6 +23,9 @@ import numpy as np
 from .errors import DimensionError
 
 EPS = float(np.finfo(np.float64).eps)
+# margin by which a rank screen's rounding terms are inflated, for constants
+# the backward-error bounds leave out
+SCREEN_SAFETY = 4.0
 
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
@@ -35,6 +40,16 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
+
+
+def pow2_scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """(M / 2^e, e), with e chosen to put the largest modulus in [0.5, 1).
+
+    Scaling by a power of two is exact, so only the units of M change.
+    """
+    _, e = np.frexp(np.max(np.abs(M)))
+    scaled = np.ldexp(np.ascontiguousarray(M).view(np.float64), -e)
+    return scaled.view(np.complex128), int(e)
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,13 @@ def check_tolerance(tol: float | None) -> None:
         raise ValueError(f"tolerance must be a nonnegative real, got {tol!r}")
 
 
+def default_cutoff(shape: tuple[int, ...], scale: float) -> float:
+    """max(shape) * eps * scale: the default rank cutoff of a matrix of
+    ``shape`` whose largest singular value is (at most) ``scale``, and the
+    size of the rounding error of a backward-stable factorization of it."""
+    return max(shape) * EPS * scale
+
+
 def rank_decision(s: np.ndarray, shape: tuple[int, int],
                   tol: float | None = None) -> RankResult:
     """Rank of a matrix of ``shape`` from its nonincreasing singular values.
@@ -68,7 +90,7 @@ def rank_decision(s: np.ndarray, shape: tuple[int, int],
     """
     check_tolerance(tol)
     if tol is None:
-        tol = max(shape) * EPS * (float(s[0]) if s.size else 0.0)
+        tol = default_cutoff(shape, float(s[0]) if s.size else 0.0)
     rank = int(np.count_nonzero(s > tol))
     marginal = rank > 0 and float(s[rank - 1]) < 10.0 * tol
     return RankResult(numeric_rank=rank, singular_values=s,

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .cxmat import as_cmatrix
+from .cxmat import as_cmatrix, pow2_scaled
 from .errors import BudgetExceededError, DimensionError
 
 # default cap on the s-subsets a joint-sparse support enumeration may visit
@@ -131,9 +131,14 @@ def check_cell_budget(m: int, s: int, max_cells: int) -> None:
 
 
 def align_scale(estimate, truth) -> ScaleAlignment:
-    """Closed-form minimizer of ||estimate - sigma*truth||_F over complex sigma."""
-    E = as_cmatrix(estimate, "estimate")
-    T = as_cmatrix(truth, "truth")
+    """Closed-form minimizer of ||estimate - sigma*truth||_F over complex sigma.
+
+    Both matrices are scaled to unit size by exact powers of two first, so
+    the norms cannot overflow; sigma and the relative error then carry the
+    ratio of the two scales, and overflow to inf only when that does.
+    """
+    E, e_exp = pow2_scaled(as_cmatrix(estimate, "estimate"))
+    T, t_exp = pow2_scaled(as_cmatrix(truth, "truth"))
     if E.shape != T.shape:
         raise DimensionError("estimate and truth must have the same shape")
     t_norm = float(np.linalg.norm(T))
@@ -143,4 +148,7 @@ def align_scale(estimate, truth) -> ScaleAlignment:
     resid = float(np.linalg.norm(E - sigma * T)) / t_norm
     e_norm = float(np.linalg.norm(E))
     degenerate = abs(sigma) * t_norm <= 1e-12 * max(e_norm, 1e-300)
-    return ScaleAlignment(sigma=sigma, relative_error=resid, degenerate=degenerate)
+    with np.errstate(over="ignore"):
+        re, im, resid = np.ldexp([sigma.real, sigma.imag, resid], e_exp - t_exp)
+    return ScaleAlignment(sigma=complex(re, im), relative_error=float(resid),
+                          degenerate=degenerate)

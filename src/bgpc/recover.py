@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import EPS, as_cmatrix, check_tolerance, rank_decision
+from .cxmat import (SCREEN_SAFETY, as_cmatrix, check_tolerance, default_cutoff,
+                    rank_decision)
 from .errors import DimensionError, InconsistentSystemError
 from .model import DEFAULT_CELL_BUDGET, align_scale, check_cell_budget
 
@@ -38,8 +39,6 @@ DEGENERATE_GAMMA = "DegenerateGamma"
 DEFAULT_GAMMA_TOL = 1e-8
 # supports whose embedded solutions align within this are one equivalence class
 EQUIVALENCE_TOL = 1e-6
-# margin on the joint-sparse subtree screen for the rounding of Q_perp and SVDs
-SCREEN_SAFETY = 4.0
 
 
 @dataclass(frozen=True)
@@ -165,15 +164,16 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
         raise DimensionError("joint-sparse recovery requires n > 2s")
     check_cell_budget(m, s, max_cells)
     y_max = N ** 0.5 * float(np.max(np.abs(Y)))
-    bound = tol if tol is not None else max((n - s) * N, n) * EPS * y_max
+    bound = tol if tol is not None else default_cutoff(((n - s) * N, n), y_max)
 
     def ruled_out(K) -> bool:
         if bound <= 0 or (n - len(K)) * N < n:
             return False
         _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])
-        if sA[-1] <= 10 * SCREEN_SAFETY * n * EPS * sA[0]:
+        a_cut = default_cutoff((n,), sA[0])
+        if sA[-1] <= 10 * SCREEN_SAFETY * a_cut:
             return False
-        q_err = n * EPS * y_max * sA[0] / sA[-1]
+        q_err = a_cut * y_max / sA[-1]
         sG = np.linalg.svd(G, compute_uv=False)  # n values: G has >= n rows
         return sG[-1] > SCREEN_SAFETY * (10 * bound + q_err)
 
@@ -206,7 +206,7 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     ref = np.concatenate([X_ref.flatten(order="F"), g_ref])[None, :]
     for _, X, gamma in hits[1:]:
         cand = np.concatenate([X.flatten(order="F"), gamma])[None, :]
-        if align_scale(cand, ref).relative_error > EQUIVALENCE_TOL:
+        if not align_scale(cand, ref).relative_error <= EQUIVALENCE_TOL:
             return RecoveryResult(status=AMBIGUOUS, null_dim=1)
     return RecoveryResult(status=UNIQUE, null_dim=1, gamma=g_ref,
                           lam=1.0 / g_ref, X=X_ref, support=tuple(J_ref))

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from bgpc import (BudgetExceededError, DimensionError, IDENTIFIABLE,
                   NOT_CERTIFIED, build_D_block, build_D_stack, build_stacked,
                   build_stacked_restricted, certify_joint_sparse,
-                  certify_subspace, random_instance)
-from bgpc.certify import (JOINT_SPARSE, CertificateReport, _lambda_uniqueness,
-                          _normalized)
+                  certify_subspace, dft_matrix, random_instance)
+from bgpc.certify import (JOINT_SPARSE, SUBSPACE, CertificateReport,
+                          _elimination_bound, _lambda_uniqueness, _normalized,
+                          _stacked_bound, full_rank_screen)
 from bgpc.construct import construct_claim1
-from bgpc.cxmat import numeric_rank
+from bgpc.cxmat import default_cutoff, numeric_rank
 
 
 def vec(X):
@@ -369,3 +371,234 @@ class TestDisjointCellScreen:
         assert rep.verdict == IDENTIFIABLE
         assert rep.support_cells_checked == 220
         assert len(calls) <= 85
+
+
+def certify_stacked_svd(A, X0, lambda0, tol=None):
+    """The subspace certificate from one SVD of the stacked matrix."""
+    A, X0, lambda0 = _normalized(A, X0, lambda0)
+    m, N = X0.shape
+    cond2 = _lambda_uniqueness(A, X0, lambda0)
+    rr = numeric_rank(build_stacked(A, X0), tol=tol)
+    cond1 = rr.numeric_rank == m * N
+    verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
+    return CertificateReport(
+        mode=SUBSPACE,
+        verdict=verdict,
+        condition1_rank_full=cond1,
+        condition2_lambda_unique=cond2,
+        stacked_rank=rr.numeric_rank,
+        required_rank=m * N,
+        tolerance_used=rr.tolerance_used,
+    )
+
+
+def assert_matches_stacked_svd(A, X0, lambda0, tol=None) -> bool:
+    """certify_subspace equals the stacked-SVD report field for field; True
+    when the screen decided. Only a screened pass at the default tolerance
+    reports max(rows, cols) eps ||S||_F, which lies between the stacked
+    cutoff and sqrt(mN) times it."""
+    rep = certify_subspace(A, X0, lambda0, tol)
+    ref = certify_stacked_svd(A, X0, lambda0, tol)
+    screened = full_rank_screen(*_normalized(A, X0, lambda0)[:2], tol) is not None
+    if screened and tol is None:
+        bound = ref.tolerance_used * np.sqrt(ref.required_rank)
+        assert ref.tolerance_used <= rep.tolerance_used * (1 + 1e-12)
+        assert rep.tolerance_used <= bound * (1 + 1e-12)
+        rep = replace(rep, tolerance_used=ref.tolerance_used)
+    assert rep == ref
+    return screened
+
+
+def full_window_instance(n, N, selected, eps=0.0, seed=0):
+    """DFT columns holding a second full circular window, so rank(S) < mN,
+    perturbed by eps times a complex Gaussian."""
+    rng = np.random.default_rng(seed)
+    A = dft_matrix(n)[:, selected]
+    A = A + eps * (rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape))
+    return A, np.eye(len(selected), N, dtype=np.complex128), np.ones(n)
+
+
+FULL_WINDOWS = [(12, 3, [0, 1, 2, 5, 6, 7]), (16, 4, [0, 1, 2, 3, 6, 7, 8, 9, 12]),
+                (10, 2, [0, 1, 4, 5, 7]), (20, 3, [0, 1, 2, 4, 5, 6, 9, 10, 11, 15])]
+
+
+class TestSubspaceScreen:
+    """Deciding rank(S) = mN by block elimination changes no verdict or rank."""
+
+    def test_matches_stacked_svd_on_seeded_cases(self):
+        rng = np.random.default_rng(20)
+        screened = 0
+        for seed in range(1000):
+            n = int(rng.integers(3, 17))
+            m = int(rng.integers(1, n))
+            N = int(rng.integers(2, 6))
+            inst = random_instance(n, m, N, seed=seed)
+            X0 = inst.X0
+            if seed % 5 == 1:  # a weak first snapshot
+                X0 = X0 * np.r_[10.0 ** -rng.uniform(0, 6), np.ones(N - 1)]
+            screened += assert_matches_stacked_svd(inst.A, X0, inst.lambda0)
+        assert 500 < screened < 1000
+
+    @pytest.mark.parametrize("n, m, N",
+                             [(8, 6, 2), (16, 12, 3), (16, 14, 7), (12, 11, 5)])
+    def test_below_threshold_declines(self, n, m, N):
+        inst = random_instance(n, m, N, seed=n + m + N)
+        assert (n - m) * N < n - 1
+        A, X0, _ = _normalized(inst.A, inst.X0, inst.lambda0)
+        assert full_rank_screen(A, X0) is None
+        assert_matches_stacked_svd(inst.A, inst.X0, inst.lambda0)
+
+    def test_zero_gain_entry(self):
+        inst = random_instance(12, 6, 3, seed=21)
+        lam = inst.lambda0.copy()
+        lam[2] = 0.0
+        assert assert_matches_stacked_svd(inst.A, inst.X0, lam)
+        assert certify_subspace(inst.A, inst.X0, lam).verdict == NOT_CERTIFIED
+
+    def test_zero_first_snapshot_declines(self):
+        inst = random_instance(12, 6, 3, seed=22)
+        X0 = inst.X0.copy()
+        X0[:, 0] = 0.0
+        assert not assert_matches_stacked_svd(inst.A, X0, inst.lambda0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicated_columns_decline(self, seed):
+        inst = random_instance(12, 6, 4, seed=seed)
+        A = inst.A.copy()
+        A[:, 4] = A[:, 1]
+        assert not assert_matches_stacked_svd(A, inst.X0, inst.lambda0)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-9, 1e6, 1e-300])
+    def test_explicit_tolerance(self, tol):
+        for seed in range(20):
+            inst = random_instance(10 + seed % 5, 5, 2 + seed % 3, seed=seed)
+            assert_matches_stacked_svd(inst.A, inst.X0, inst.lambda0, tol)
+        rep = certify_subspace(inst.A, inst.X0, inst.lambda0, tol)
+        assert rep.tolerance_used == float(tol)
+        assert rep.stacked_rank == (0 if tol == 1e6 else rep.required_rank)
+
+    @pytest.mark.parametrize("c", [1e300, 1e-300])
+    def test_extreme_snapshots(self, c):
+        for seed in range(10):
+            inst = random_instance(16, 8, 3, seed=seed)
+            with np.errstate(over="raise", under="ignore"):
+                assert assert_matches_stacked_svd(inst.A, inst.X0 * c, inst.lambda0 / c)
+
+    def test_column_permutations(self):
+        rng = np.random.default_rng(23)
+        for seed in range(20):
+            inst = random_instance(14, 8, 3, seed=seed)
+            p = rng.permutation(8)
+            base = certify_subspace(inst.A, inst.X0, inst.lambda0)
+            assert_matches_stacked_svd(inst.A[:, p], inst.X0[p], inst.lambda0)
+            rep = certify_subspace(inst.A[:, p], inst.X0[p], inst.lambda0)
+            assert (rep.verdict, rep.stacked_rank) == (base.verdict, base.stacked_rank)
+
+    @pytest.mark.parametrize("n, N, selected", FULL_WINDOWS)
+    @pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3])
+    def test_perturbed_full_window(self, n, N, selected, eps):
+        A, X0, lam = full_window_instance(n, N, selected, eps)
+        screened = assert_matches_stacked_svd(A, X0, lam)
+        if eps <= 1e-14:  # sigma_min(S) is near or below the cutoff
+            assert not screened
+        if eps == 0.0:
+            assert certify_subspace(A, X0, lam).verdict == NOT_CERTIFIED
+
+    def test_large_pass_builds_nothing(self, monkeypatch):
+        module = importlib.import_module("bgpc.certify")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stacked matrix was built or factored")
+
+        monkeypatch.setattr(module, "build_stacked", refuse)
+        monkeypatch.setattr(module, "numeric_rank", refuse)
+        inst = random_instance(128, 96, 8, seed=24)
+        rep = certify_subspace(inst.A, inst.X0, inst.lambda0)
+        assert (rep.verdict, rep.stacked_rank) == (IDENTIFIABLE, 768)
+
+
+def eliminated_stack(R, K, X0):
+    """U S of the certify module docstring, built from R, the K_j and X0:
+    vec(X0)^H, then block rows [-K_j, 0, .., [R; 0], .., 0]."""
+    Nm1, n, m = K.shape
+    rows = [X0.flatten(order="F").conj()[None, :]]
+    for j in range(1, Nm1 + 1):
+        block = np.zeros((n, m * (Nm1 + 1)), dtype=np.complex128)
+        block[:, :m] = -K[j - 1]
+        block[:m, j * m:(j + 1) * m] = R
+        rows.append(block)
+    return np.vstack(rows)
+
+
+def sigma_min(M):
+    return np.linalg.svd(M, compute_uv=False)[-1]
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestEliminationBound:
+    """The bound of the certify module docstring never exceeds sigma_min(S)."""
+
+    @pytest.mark.parametrize("R, K, X0", [
+        # [[1, 1], [0, 1]]: sigma_min 0.618, bound 0.5; without sqrt(2), 0.707
+        ([[1.0]], [[[0.0]]], [[1.0, 1.0]]),
+        # [[1, 0], [-10, 1]]: sigma_min 0.099, bound 0.064; without E, 0.707
+        ([[1.0]], [[[10.0]]], [[1.0, 0.0]]),
+    ])
+    def test_two_by_two(self, R, K, X0):
+        R, K, X0 = (np.asarray(M, dtype=np.complex128) for M in (R, K, X0))
+        assert 0 < _elimination_bound(R, K, X0) <= sigma_min(eliminated_stack(R, K, X0))
+
+    def test_singular_R_declines(self):
+        R = np.array([[1.0, 1.0], [0.0, 1e-17]], dtype=np.complex128)
+        K = np.ones((1, 3, 2), dtype=np.complex128)
+        assert _elimination_bound(R, K, np.eye(2, dtype=np.complex128)) == 0.0
+
+    def test_exactly_singular_T_bounded_by_zero(self):
+        # X0[:, 1:] = 0, so T's first row is x_0^H and the B_j rows are
+        # multiples of it: rank(T) = 1 < m, but the computed T is not exact
+        x0 = np.array([0.3 + 0.7j, -1.1 + 0.2j])
+        X0 = np.zeros((2, 3), dtype=np.complex128)
+        X0[:, 0] = x0
+        K = np.zeros((2, 4, 2), dtype=np.complex128)
+        K[:, 2:] = np.array([[0.1, 0.7], [1.3, -0.3j]])[:, :, None] * x0.conj()
+        S = eliminated_stack(np.eye(2, dtype=np.complex128), K, X0)
+        assert np.linalg.svd(S, compute_uv=False)[-1] < 1e-15
+        assert _elimination_bound(np.eye(2, dtype=np.complex128), K, X0) <= 0
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            n = m + int(rng.integers(0, 4))
+            N = int(rng.integers(2, 5))
+            if 1 + (n - m) * (N - 1) < m:
+                continue
+            R = np.triu(complex_normal(rng, m, m)) * 10.0 ** rng.uniform(-3, 1, m)
+            K = complex_normal(rng, N - 1, n, m) * 10.0 ** rng.uniform(-2, 2)
+            X0 = complex_normal(rng, m, N) * 10.0 ** rng.uniform(-2, 2, N)
+            S = eliminated_stack(R, K, X0)
+            s = np.linalg.svd(S, compute_uv=False)
+            assert _elimination_bound(R, K, X0) <= s[-1] + default_cutoff(S.shape, s[0])
+
+    def test_instances_with_a_weak_first_snapshot(self):
+        # a small x_0 makes R small against the K_j, where ||E|| matters
+        for seed in range(100):
+            for n, m, N in [(4, 2, 2), (5, 3, 2), (6, 4, 3)]:
+                inst = random_instance(n, m, N, seed=seed)
+                for c in (1e-1, 1e-2):
+                    X0 = inst.X0 * np.r_[c, np.ones(N - 1)]
+                    S = build_stacked(inst.A, X0)
+                    s = np.linalg.svd(S, compute_uv=False)
+                    low, s_norm = _stacked_bound(inst.A, X0)
+                    assert low <= s[-1] + default_cutoff(S.shape, s[0])
+                    assert s[0] <= s_norm * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n, N, selected", FULL_WINDOWS)
+    def test_exact_rank_deficiency_bounded_by_zero(self, n, N, selected):
+        # sigma_min(S) = 0 exactly; only the rounding terms keep the bound
+        # computed from the noise in T at or below it
+        A, X0, _ = full_window_instance(n, N, selected)
+        assert _stacked_bound(A, X0)[0] <= 0

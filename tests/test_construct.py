@@ -4,7 +4,7 @@ import pytest
 from bgpc import (DimensionError, InfeasibleConstructionError,
                   construct_claim1, construct_claim2, numeric_rank,
                   select_columns, verify_claim1_rank)
-from bgpc.certify import build_D_stack, build_stacked
+from bgpc.certify import build_D_stack, build_stacked, full_rank_screen
 
 
 def feasible_triples(n_max):
@@ -159,6 +159,24 @@ class TestVerifyRanks:
             rec = verify_claim1_rank(ci)
             assert rec.left_null_dim + rec.D_rank == n * (N - 1)
 
+
+    def test_ranks_match_stacked_svd(self):
+        # the screen decides every triple; its record keeps the ranks and
+        # verdict of one SVD of S, and a cutoff no smaller than that one's
+        for n, m, N in feasible_triples(16):
+            ci = construct_claim1(n, m, N)
+            rec = verify_claim1_rank(ci)
+            rr = numeric_rank(build_stacked(ci.A, ci.X0))
+            assert full_rank_screen(ci.A, ci.X0) == rec.tolerance_used
+            assert (rec.stacked_rank, rec.D_rank, rec.passed) == \
+                (rr.numeric_rank, m * N - 1, True)
+            assert rr.tolerance_used <= rec.tolerance_used * (1 + 1e-12)
+
+    def test_explicit_tolerance_reported(self):
+        ci = construct_claim1(12, 8, 3)
+        assert verify_claim1_rank(ci, tol=1e-9).tolerance_used == 1e-9
+        rec = verify_claim1_rank(ci, tol=1e6)
+        assert (rec.stacked_rank, rec.tolerance_used, rec.passed) == (0, 1e6, False)
 
     def test_failing_stack_factors_D(self, duplicated_column_construction):
         ci = duplicated_column_construction

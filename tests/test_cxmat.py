@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bgpc import DimensionError, dft_matrix, numeric_rank
-from bgpc.cxmat import EPS, rank_decision
+from bgpc.cxmat import EPS, default_cutoff, pow2_scaled, rank_decision
 
 
 def rand_cmat(rng, r, c):
@@ -88,6 +88,11 @@ class TestRankDecision:
         assert rr.tolerance_used == 5 * EPS * 3.0
         assert rr.numeric_rank == 2
 
+    def test_default_cutoff_is_the_rule(self):
+        assert default_cutoff((3, 5), 3.0) == 5 * EPS * 3.0
+        s = np.array([7.0, 2.0])
+        assert rank_decision(s, (9, 2)).tolerance_used == default_cutoff((9, 2), 7.0)
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             rank_decision(np.array([1.0]), (1, 1), tol=-1e-12)
@@ -117,3 +122,17 @@ class TestRankDecision:
         ref = rank_decision(np.linalg.svd(M, compute_uv=False), M.shape)
         assert rr.numeric_rank == ref.numeric_rank == 3
         assert rr.tolerance_used == ref.tolerance_used
+
+
+class TestPow2Scaled:
+    @pytest.mark.parametrize("c", [1e300, 1.0, 1e-300, 2.0 ** -1074])
+    def test_exact_unit_scaling(self, c):
+        M = np.array([[3.0 - 1j, 0.5], [0.0, -2j]]) * c
+        S, e = pow2_scaled(M)
+        assert 0.5 <= np.max(np.abs(S)) < 1.0
+        back = np.ldexp(S.view(np.float64), e).view(np.complex128)
+        np.testing.assert_array_equal(back, M)
+
+    def test_zero_matrix(self):
+        S, e = pow2_scaled(np.zeros((2, 2), dtype=np.complex128))
+        assert e == 0 and not np.any(S)

@@ -158,3 +158,23 @@ class TestAlignScale:
             al = align_scale(sigma * T, T)
             assert abs(al.sigma - sigma) < 1e-10 * max(1, abs(sigma))
             assert al.relative_error < 1e-12
+
+    @pytest.mark.parametrize("c", [1e300, 1e-300])
+    def test_common_extreme_scale_changes_nothing(self, c):
+        rng = np.random.default_rng(5)
+        T = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        E = 2j * T + 1e-3 * rng.standard_normal((4, 3))
+        ref = align_scale(E, T)
+        with np.errstate(over="raise"):
+            got = align_scale(E * c, T * c)
+        assert abs(got.sigma - ref.sigma) <= 1e-12 * abs(ref.sigma)
+        assert got.relative_error == pytest.approx(ref.relative_error, rel=1e-12)
+        assert got.degenerate == ref.degenerate
+
+    def test_overflowing_ratio_is_infinite_not_nan(self):
+        rng = np.random.default_rng(6)
+        T = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        E = 1e300 * (T + rng.standard_normal((3, 2)))
+        al = align_scale(E, T * 1e-300)
+        assert al.relative_error == np.inf
+        assert not al.relative_error <= 1e-6

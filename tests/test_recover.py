@@ -226,6 +226,16 @@ class TestRecoverJointSparse:
         res = recover_joint_sparse(Y, inst.A, 2)
         assert res.status == AMBIGUOUS
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_units_of_Y_do_not_merge_distinct_hits(self, seed):
+        # with s = 1, Y has rank 1 and every column fits: Ambiguous at any
+        # units of Y, although the norms of the hits overflow near 1e300
+        inst = random_instance(10, 6, 3, seed, sparsity=1)
+        Y = forward(inst)
+        assert recover_joint_sparse(Y, inst.A, 1).status == AMBIGUOUS
+        with np.errstate(over="raise"):
+            assert recover_joint_sparse(Y * 1e300, inst.A, 1).status == AMBIGUOUS
+
     def test_budget_refusal(self):
         inst = random_instance(16, 8, 2, seed=10, sparsity=3)
         with pytest.raises(BudgetExceededError):
