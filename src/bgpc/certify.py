@@ -55,10 +55,21 @@ every use of r. Each term is inflated by ``SCREEN_SAFETY``.
 
 ||S||_F^2 = ||X0||_F^2 + sum_k ||a_k||^2 (||w_k||^2 + (N-2) |w_k0|^2), so the
 default cutoff max(rows, cols) eps sigma_max(S) is at most
-max(rows, cols) eps ||S||_F. :func:`certify_subspace` reports a pass from
+max(rows, cols) eps ||S||_F. :func:`stacked_rank` reports rank mN from
 the bound alone when it clears 10x that and any explicit ``tol``;
 otherwise (a wide T, a singular or marginal R, or a bound that is not
 clear) it factors S as before.
+
+Range. A norm summed from squares loses every square that underflows and
+overflows for large entries, while LAPACK rescales internally; a norm read
+as 0 would drop the E factor and every rounding term. So the screen runs
+only when the largest moduli of A and X0 lie within 2^+-100 of 1, takes
+the norms of X0, K^top and T by :func:`_norm`, which sums them at unit
+scale when needed, and stops when c or ||K^top||_F exceeds 2^400 r, beyond
+which R^-1 K_j^top and T could overflow. In that range nothing overflows;
+the closed form of ||S||_F loses a relative part below 2^-600 to
+underflow, and the products behind R, K and T lose far less than their
+rounding terms.
 """
 
 from __future__ import annotations
@@ -79,6 +90,11 @@ JOINT_SPARSE = "JointSparse"
 
 IDENTIFIABLE = "IdentifiableUpToScaling"
 NOT_CERTIFIED = "NotCertified"
+
+# the elimination screen's range: entries of A and X0 within 2^+-100 of 1,
+# and c, ||K^top||_F below 2^400 sigma_min(R); see the module docstring
+SCREEN_INPUT_RANGE = 2.0 ** 100
+SCREEN_RATIO_RANGE = 2.0 ** 400
 
 
 @dataclass(frozen=True)
@@ -182,12 +198,25 @@ def _lambda_uniqueness(A, X0, lambda0) -> bool:
     return rows_ok and lam_ok
 
 
+def _norm(M) -> float:
+    """Frobenius norm of a complex matrix with no square lost to underflow
+    or overflow: a plain norm within 2^+-400 of 1 is accurate, and any
+    other is summed again at unit scale."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(M))
+    if 2.0 ** -400 <= plain <= 2.0 ** 400:
+        return plain
+    scaled, e = pow2_scaled(M)
+    return float(np.ldexp(np.linalg.norm(scaled), e))
+
+
 def _elimination_bound(R, K, X0) -> float:
     """Lower bound on sigma_min(S), net of rounding, from the eliminated form.
 
     R is m x m and K holds K_j = Q^H diag(w_j) A, j = 1..N-1, shape
     (N-1, n, m) with n >= m and 1 + (n-m)(N-1) >= m; see the module
-    docstring. Returns 0 when R is singular or marginal.
+    docstring. Returns 0 when R is singular or marginal, or when c or
+    ||K^top||_F is more than ``SCREEN_RATIO_RANGE`` times sigma_min(R).
     """
     m = X0.shape[0]
     sR = np.linalg.svd(R, compute_uv=False)
@@ -196,23 +225,25 @@ def _elimination_bound(R, K, X0) -> float:
         return 0.0
     r = sR[-1] - r_err
     K_top = K[:, :m]
-    c, k = float(np.linalg.norm(X0[:, 1:])), float(np.linalg.norm(K_top))
+    c, k = _norm(X0[:, 1:]), _norm(K_top)
+    if not max(c, k) <= SCREEN_RATIO_RANGE * r:
+        return 0.0
     # x_j^H R^-1 K_j^top = y_j^H K_j^top with R^H y_j = x_j
     Yh = np.linalg.solve(R.conj().T, X0[:, 1:]).T.conj()
     t0 = X0[:, 0].conj() + np.einsum("ji,jik->k", Yh, K_top)
     T = np.vstack([t0[None, :], K[:, m:].reshape(-1, m)])
     sT = np.linalg.svd(T, compute_uv=False)
-    t_err = SCREEN_SAFETY * (default_cutoff(T.shape, np.linalg.norm(T))
-                             + default_cutoff(R.shape, np.linalg.norm(X0)
-                                              + sR[0] * c * k / r ** 2))
+    t_err = SCREEN_SAFETY * (default_cutoff(T.shape, _norm(T))
+                             + default_cutoff(R.shape, _norm(X0)
+                                              + (sR[0] / r) * (c / r) * k))
     t = (sT[-1] - t_err) / np.sqrt(1 + (c / r) ** 2)
     return float(min(r, t) / (np.sqrt(2) * (1 + k / r)))
 
 
 def _stacked_bound(A, X0) -> tuple[float, float]:
     """(lower bound on sigma_min(S) net of rounding, ||S||_F) for
-    S = build_stacked(A, X0), without forming S; needs n >= m and
-    1 + (n-m)(N-1) >= m."""
+    S = build_stacked(A, X0), without forming S; needs n >= m,
+    1 + (n-m)(N-1) >= m and the input range of the module docstring."""
     N = X0.shape[1]
     W = A @ X0
     Q, R = np.linalg.qr(W[:, :1] * A, mode="complete")
@@ -225,6 +256,10 @@ def _stacked_bound(A, X0) -> tuple[float, float]:
     return low, s_norm
 
 
+def _in_screen_range(M) -> bool:
+    return 1 / SCREEN_INPUT_RANGE <= float(np.max(np.abs(M))) <= SCREEN_INPUT_RANGE
+
+
 def full_rank_screen(A, X0, tol: float | None = None) -> float | None:
     """``tolerance_used`` of a certified rank(build_stacked(A, X0)) = mN, or
     None when the bound of the module docstring cannot decide.
@@ -232,12 +267,15 @@ def full_rank_screen(A, X0, tol: float | None = None) -> float | None:
     The stacked matrix S is never formed: one QR of diag(w_0) A, N - 1
     products with Q^H and SVDs of R and T. The tolerance is ``tol``, or
     max(rows, cols) eps ||S||_F, a bound on the default cutoff; a pass is
-    reported only when the bound on sigma_min(S) clears 10x both.
+    reported only when the bound on sigma_min(S) clears 10x both. Entries
+    of A or X0 outside the screen's range leave the decision to the SVD.
     """
     check_tolerance(tol)
     n, m = A.shape
     N = X0.shape[1]
     if 1 + (n - m) * (N - 1) < m:  # T is wide: rank(S) < mN
+        return None
+    if not (_in_screen_range(A) and _in_screen_range(X0)):
         return None
     low, s_norm = _stacked_bound(A, X0)
     cutoff = default_cutoff((1 + n * (N - 1), m * N), s_norm)
@@ -246,24 +284,31 @@ def full_rank_screen(A, X0, tol: float | None = None) -> float | None:
     return cutoff if tol is None else float(tol)
 
 
+def stacked_rank(A, X0, tol: float | None = None) -> tuple[int, float]:
+    """(rank of build_stacked(A, X0), tolerance used).
+
+    Rank mN is decided by :func:`full_rank_screen` when it can; otherwise
+    the stacked matrix is built and factored by one SVD.
+    """
+    screened = full_rank_screen(A, X0, tol)
+    if screened is not None:
+        return A.shape[1] * X0.shape[1], screened
+    rr = numeric_rank(build_stacked(A, X0), tol=tol)
+    return rr.numeric_rank, rr.tolerance_used
+
+
 def certify_subspace(A, X0, lambda0, tol: float | None = None) -> CertificateReport:
     """Decide the subspace-model certificate for (A, X0, lambda0).
 
     A, X0 and lambda0 are first scaled to unit size by exact powers of two,
     so the verdict does not depend on their units; an explicit ``tol`` cuts
     the singular values of the certificate matrix built from the scaled pair.
-    Condition 1 is decided by :func:`full_rank_screen` when it can, and
-    otherwise by one SVD of the certificate matrix.
+    Condition 1 is decided by :func:`stacked_rank`.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     m, N = X0.shape
     cond2 = _lambda_uniqueness(A, X0, lambda0)
-    screened = full_rank_screen(A, X0, tol)
-    if screened is None:
-        rr = numeric_rank(build_stacked(A, X0), tol=tol)
-        rank, tolerance = rr.numeric_rank, rr.tolerance_used
-    else:
-        rank, tolerance = m * N, screened
+    rank, tolerance = stacked_rank(A, X0, tol)
     cond1 = rank == m * N
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
     return CertificateReport(

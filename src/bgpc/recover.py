@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import (SCREEN_SAFETY, as_cmatrix, check_tolerance, default_cutoff,
-                    rank_decision)
+from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance,
+                    default_cutoff, rank_decision)
 from .errors import DimensionError, InconsistentSystemError
 from .model import DEFAULT_CELL_BUDGET, align_scale, check_cell_budget
 
@@ -170,10 +170,9 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
         if bound <= 0 or (n - len(K)) * N < n:
             return False
         _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])
-        a_cut = default_cutoff((n,), sA[0])
-        if sA[-1] <= 10 * SCREEN_SAFETY * a_cut:
+        if sA[-1] <= 10 * SCREEN_SAFETY * n * EPS * sA[0]:
             return False
-        q_err = a_cut * y_max / sA[-1]
+        q_err = n * EPS * y_max * sA[0] / sA[-1]
         sG = np.linalg.svd(G, compute_uv=False)  # n values: G has >= n rows
         return sG[-1] > SCREEN_SAFETY * (10 * bound + q_err)
 

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 from dataclasses import replace
 from itertools import combinations
 
@@ -11,8 +12,9 @@ from bgpc import (BudgetExceededError, DimensionError, IDENTIFIABLE,
                   build_stacked_restricted, certify_joint_sparse,
                   certify_subspace, dft_matrix, random_instance)
 from bgpc.certify import (JOINT_SPARSE, SUBSPACE, CertificateReport,
-                          _elimination_bound, _lambda_uniqueness, _normalized,
-                          _stacked_bound, full_rank_screen)
+                          _elimination_bound, _lambda_uniqueness, _norm,
+                          _normalized, _stacked_bound, full_rank_screen,
+                          stacked_rank)
 from bgpc.construct import construct_claim1
 from bgpc.cxmat import default_cutoff, numeric_rank
 
@@ -504,6 +506,28 @@ class TestSubspaceScreen:
         if eps == 0.0:
             assert certify_subspace(A, X0, lam).verdict == NOT_CERTIFIED
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e-40, 1e40, 1e160, 1e200])
+    @pytest.mark.parametrize("n, N, selected", FULL_WINDOWS[:2])
+    def test_unscaled_full_window(self, n, N, selected, c):
+        # stacked_rank takes A and X0 in their own units; a rank-deficient
+        # stack is never passed and no square under- or overflows unseen
+        A, X0, _ = full_window_instance(n, N, selected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A_c, X0_c in ((A, X0 * c), (A * c ** 0.25, X0)):
+                rr = numeric_rank(build_stacked(A_c, X0_c))
+                assert stacked_rank(A_c, X0_c) == (rr.numeric_rank, rr.tolerance_used)
+                assert rr.numeric_rank < len(selected) * N
+
+    @pytest.mark.parametrize("c", [2.0 ** -101, 2.0 ** 101])
+    def test_screen_range(self, c):
+        inst = random_instance(16, 8, 3, seed=26)
+        A, X0, _ = _normalized(inst.A, inst.X0, inst.lambda0)
+        assert full_rank_screen(A, X0) is not None
+        assert full_rank_screen(A * c, X0) is None
+        assert full_rank_screen(A, X0 * c) is None
+        assert stacked_rank(A, X0 * c)[0] == 24
+
     def test_large_pass_builds_nothing(self, monkeypatch):
         module = importlib.import_module("bgpc.certify")
 
@@ -555,6 +579,21 @@ class TestEliminationBound:
         R = np.array([[1.0, 1.0], [0.0, 1e-17]], dtype=np.complex128)
         K = np.ones((1, 3, 2), dtype=np.complex128)
         assert _elimination_bound(R, K, np.eye(2, dtype=np.complex128)) == 0.0
+
+    def test_tiny_R_declines_without_overflow(self):
+        # c / r = 1e200: R^-1 K_j^top and T would overflow
+        K = np.ones((1, 3, 2), dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _elimination_bound(1e-200 * np.eye(2, dtype=np.complex128), K,
+                                      np.ones((2, 2), dtype=np.complex128)) == 0.0
+
+    def test_norm_at_extreme_scales(self):
+        M = complex_normal(np.random.default_rng(27), 4, 3)
+        for e in (-900, -600, 0, 600, 900):
+            assert _norm(np.ldexp(M.view(np.float64), e).view(np.complex128)) == \
+                np.ldexp(np.linalg.norm(M), e)
+        assert _norm(np.zeros((2, 2), dtype=np.complex128)) == 0.0
 
     def test_exactly_singular_T_bounded_by_zero(self):
         # X0[:, 1:] = 0, so T's first row is x_0^H and the B_j rows are

@@ -1,10 +1,14 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bgpc import (DimensionError, InfeasibleConstructionError,
-                  construct_claim1, construct_claim2, numeric_rank,
+                  construct_claim1, construct_claim2, dft_matrix, numeric_rank,
                   select_columns, verify_claim1_rank)
 from bgpc.certify import build_D_stack, build_stacked, full_rank_screen
+from bgpc.construct import ConstructedInstance, VerificationRecord
 
 
 def feasible_triples(n_max):
@@ -135,6 +139,31 @@ class TestSelection:
             assert ci.expected_left_null_dim >= 0
 
 
+def verify_stacked_svd(ci, tol=None):
+    """The claim-1 record from one SVD of the stacked matrix S."""
+    n, m, N = ci.n, ci.m, ci.N
+    S = build_stacked(ci.A, ci.X0)
+    rr = numeric_rank(S, tol=tol)
+    if rr.numeric_rank == m * N:
+        D_rank = m * N - 1
+    else:
+        D_rank = numeric_rank(S[1:], tol=tol).numeric_rank
+    left_null_dim = n * (N - 1) - D_rank
+    passed = (
+        rr.numeric_rank == m * N
+        and D_rank == m * N - 1
+        and left_null_dim == ci.expected_left_null_dim
+    )
+    return VerificationRecord(
+        stacked_rank=rr.numeric_rank,
+        D_rank=D_rank,
+        left_null_dim=left_null_dim,
+        expected_left_null_dim=ci.expected_left_null_dim,
+        tolerance_used=rr.tolerance_used,
+        passed=passed,
+    )
+
+
 class TestVerifyRanks:
     def test_n8_m4_N2(self):
         rec = verify_claim1_rank(construct_claim1(8, 4, 2))
@@ -177,6 +206,35 @@ class TestVerifyRanks:
         assert verify_claim1_rank(ci, tol=1e-9).tolerance_used == 1e-9
         rec = verify_claim1_rank(ci, tol=1e6)
         assert (rec.stacked_rank, rec.tolerance_used, rec.passed) == (0, 1e6, False)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-200, 1e-160, 1e160, 1e200])
+    @pytest.mark.parametrize("n, N, selected", [
+        (12, 3, (0, 1, 2, 5, 6, 7)), (16, 4, (0, 1, 2, 3, 6, 7, 8, 9, 12))])
+    def test_full_window_at_extreme_scales(self, n, N, selected, c):
+        # a second full circular window makes rank(S) < mN exactly; at any
+        # scale of X0 the record is that of one SVD of S, with no warning
+        m = len(selected)
+        ci = ConstructedInstance(
+            n=n, m=m, N=N, X0=np.eye(m, N, dtype=np.complex128) * c,
+            A=dft_matrix(n)[:, list(selected)], selected_cols=selected,
+            complement_cols=tuple(sorted(set(range(n)) - set(selected))),
+            expected_left_null_dim=n * N - m * N - n + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = verify_claim1_rank(ci)
+        assert rec == verify_stacked_svd(ci)
+        assert rec.stacked_rank < m * N and not rec.passed
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e200])
+    def test_constructed_instance_at_extreme_scales(self, c):
+        ci = construct_claim1(12, 8, 3)
+        ci = replace(ci, X0=ci.X0 * c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = verify_claim1_rank(ci)
+        assert full_rank_screen(ci.A, ci.X0) is None
+        assert rec == verify_stacked_svd(ci)
+        assert rec.passed
 
     def test_failing_stack_factors_D(self, duplicated_column_construction):
         ci = duplicated_column_construction
