@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import build_D_stack, stacked_rank
+from .certify import build_stacked
 from .cxmat import dft_matrix, numeric_rank
 from .errors import DimensionError, InfeasibleConstructionError
 
@@ -92,31 +92,30 @@ def verify_claim1_rank(ci: ConstructedInstance,
     The stacked certificate matrix S must have rank mN, the block stack
     D = S[1:] (S without its first row) rank mN - 1, and the left null
     space of D the predicted dimension (by rank-nullity on its n(N-1)
-    rows). rank(S) comes from ``certify.stacked_rank``, which decides
-    rank mN without forming S when it can (diag(w_0) A = A has orthogonal
-    columns here). When rank(S) = mN, rank(D) = mN - 1 needs no SVD:
+    rows). When rank(S) = mN, rank(D) = mN - 1 needs no second SVD:
     dropping one row lowers the rank by at most one, and D vec(X0) = 0 by
     construction, so D cannot have full column rank. D is factored only
     when rank(S) < mN.
     """
     n, m, N = ci.n, ci.m, ci.N
-    rank, tolerance = stacked_rank(ci.A, ci.X0, tol)
-    if rank == m * N:
+    S = build_stacked(ci.A, ci.X0)
+    rr = numeric_rank(S, tol=tol)
+    if rr.numeric_rank == m * N:
         D_rank = m * N - 1
     else:
-        D_rank = numeric_rank(build_D_stack(ci.A, ci.X0), tol=tol).numeric_rank
+        D_rank = numeric_rank(S[1:], tol=tol).numeric_rank
     left_null_dim = n * (N - 1) - D_rank
     passed = (
-        rank == m * N
+        rr.numeric_rank == m * N
         and D_rank == m * N - 1
         and left_null_dim == ci.expected_left_null_dim
     )
     return VerificationRecord(
-        stacked_rank=rank,
+        stacked_rank=rr.numeric_rank,
         D_rank=D_rank,
         left_null_dim=left_null_dim,
         expected_left_null_dim=ci.expected_left_null_dim,
-        tolerance_used=tolerance,
+        tolerance_used=rr.tolerance_used,
         passed=passed,
     )
 

@@ -7,8 +7,9 @@ import pytest
 from bgpc import (DimensionError, InfeasibleConstructionError,
                   construct_claim1, construct_claim2, dft_matrix, numeric_rank,
                   select_columns, verify_claim1_rank)
-from bgpc.certify import build_D_stack, build_stacked, full_rank_screen
-from bgpc.construct import ConstructedInstance, VerificationRecord
+from bgpc.certify import (build_D_stack, build_stacked, full_rank_screen,
+                          stacked_rank)
+from bgpc.construct import ConstructedInstance
 
 
 def feasible_triples(n_max):
@@ -139,31 +140,6 @@ class TestSelection:
             assert ci.expected_left_null_dim >= 0
 
 
-def verify_stacked_svd(ci, tol=None):
-    """The claim-1 record from one SVD of the stacked matrix S."""
-    n, m, N = ci.n, ci.m, ci.N
-    S = build_stacked(ci.A, ci.X0)
-    rr = numeric_rank(S, tol=tol)
-    if rr.numeric_rank == m * N:
-        D_rank = m * N - 1
-    else:
-        D_rank = numeric_rank(S[1:], tol=tol).numeric_rank
-    left_null_dim = n * (N - 1) - D_rank
-    passed = (
-        rr.numeric_rank == m * N
-        and D_rank == m * N - 1
-        and left_null_dim == ci.expected_left_null_dim
-    )
-    return VerificationRecord(
-        stacked_rank=rr.numeric_rank,
-        D_rank=D_rank,
-        left_null_dim=left_null_dim,
-        expected_left_null_dim=ci.expected_left_null_dim,
-        tolerance_used=rr.tolerance_used,
-        passed=passed,
-    )
-
-
 class TestVerifyRanks:
     def test_n8_m4_N2(self):
         rec = verify_claim1_rank(construct_claim1(8, 4, 2))
@@ -189,17 +165,17 @@ class TestVerifyRanks:
             assert rec.left_null_dim + rec.D_rank == n * (N - 1)
 
 
-    def test_ranks_match_stacked_svd(self):
-        # the screen decides every triple; its record keeps the ranks and
-        # verdict of one SVD of S, and a cutoff no smaller than that one's
+    def test_screen_decides_every_triple(self):
+        # diag(w_0) A = A has orthogonal columns on the DFT construction, so
+        # certify's elimination screen decides rank mN on every triple; its
+        # cutoff is no smaller than that of one SVD of S
         for n, m, N in feasible_triples(16):
             ci = construct_claim1(n, m, N)
-            rec = verify_claim1_rank(ci)
+            screened = full_rank_screen(ci.A, ci.X0)
             rr = numeric_rank(build_stacked(ci.A, ci.X0))
-            assert full_rank_screen(ci.A, ci.X0) == rec.tolerance_used
-            assert (rec.stacked_rank, rec.D_rank, rec.passed) == \
-                (rr.numeric_rank, m * N - 1, True)
-            assert rr.tolerance_used <= rec.tolerance_used * (1 + 1e-12)
+            assert stacked_rank(ci.A, ci.X0) == (m * N, screened)
+            assert rr.numeric_rank == verify_claim1_rank(ci).stacked_rank == m * N
+            assert rr.tolerance_used <= screened * (1 + 1e-12)
 
     def test_explicit_tolerance_reported(self):
         ci = construct_claim1(12, 8, 3)
@@ -212,29 +188,31 @@ class TestVerifyRanks:
         (12, 3, (0, 1, 2, 5, 6, 7)), (16, 4, (0, 1, 2, 3, 6, 7, 8, 9, 12))])
     def test_full_window_at_extreme_scales(self, n, N, selected, c):
         # a second full circular window makes rank(S) < mN exactly; at any
-        # scale of X0 the record is that of one SVD of S, with no warning
+        # scale of X0 the screen leaves the rank to one SVD of S, with no
+        # warning
         m = len(selected)
         ci = ConstructedInstance(
             n=n, m=m, N=N, X0=np.eye(m, N, dtype=np.complex128) * c,
             A=dft_matrix(n)[:, list(selected)], selected_cols=selected,
             complement_cols=tuple(sorted(set(range(n)) - set(selected))),
             expected_left_null_dim=n * N - m * N - n + 1)
+        rr = numeric_rank(build_stacked(ci.A, ci.X0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert stacked_rank(ci.A, ci.X0) == (rr.numeric_rank, rr.tolerance_used)
             rec = verify_claim1_rank(ci)
-        assert rec == verify_stacked_svd(ci)
-        assert rec.stacked_rank < m * N and not rec.passed
+        assert rec.stacked_rank == rr.numeric_rank < m * N and not rec.passed
 
     @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e200])
     def test_constructed_instance_at_extreme_scales(self, c):
         ci = construct_claim1(12, 8, 3)
         ci = replace(ci, X0=ci.X0 * c)
+        rr = numeric_rank(build_stacked(ci.A, ci.X0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = verify_claim1_rank(ci)
-        assert full_rank_screen(ci.A, ci.X0) is None
-        assert rec == verify_stacked_svd(ci)
-        assert rec.passed
+            assert full_rank_screen(ci.A, ci.X0) is None
+            assert stacked_rank(ci.A, ci.X0) == (rr.numeric_rank, rr.tolerance_used)
+            assert verify_claim1_rank(ci).passed
 
     def test_failing_stack_factors_D(self, duplicated_column_construction):
         ci = duplicated_column_construction
