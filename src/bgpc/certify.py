@@ -336,13 +336,26 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     The certificate matrix is built once: since X0 vanishes off J0, the
     restriction to J (:func:`build_stacked_restricted`) is exactly the
     columns t*m + j, j in J, t < N, of :func:`build_stacked`. A cell then
-    costs one column gather and one values-only SVD. For m >= 2s, each
-    cell is a column subset, with the same rows, of a cell with J1 disjoint
-    from J0, so its sigma_min is no smaller and its sigma_max and cutoff
-    (max(rows, cols) eps sigma_max, or ``tol``) no larger. When those
-    C(m - s, s) cells pass clear of 10x their cutoff and of the default one
-    (a bound on rounding), all cells pass and the last one is factored for
-    the report; otherwise every cell is decided in order.
+    costs one column gather and one values-only SVD.
+
+    Supersets. If J lies inside K, the cell matrix S_J is a column subset,
+    with the same rows, of S_K, so sigma_min(S_J) >= sigma_min(S_K) and
+    S_J's sigma_max and cutoff (max(rows, cols) eps sigma_max, or ``tol``)
+    are no larger. When S_K clears 10x both of its cutoffs (``tol`` and
+    the default one, a bound on rounding), every cell inside K passes,
+    whatever the rounding of the cell's own SVD. Every cell lies inside
+    the whole dictionary, whose cell matrix is S itself, so the call first
+    tries :func:`full_rank_screen`, which passes only clear of 10x ``tol``
+    and of max(rows, cols) eps ||S||_F, a bound on S's default cutoff. It
+    skips the screen when (n - m) min(N, s) < n - 1, where S cannot have
+    rank mN: the rows of the gain system G = [Q_perp^H diag(w_j)]_j of
+    :mod:`bgpc.recover` then span at most (n - m) rank(A X0) <= (n - m)
+    min(N, s) dimensions, which leaves G a null space of dimension two or
+    more. Failing the screen, for m >= 2s every cell lies inside one whose
+    J1 is disjoint from J0, and those C(m - s, s) cells are factored. If
+    either test passes, all cells pass and the last one is factored for the
+    report; otherwise every cell is decided in order, so a failing report
+    names the first failing cell.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     n, m = A.shape
@@ -370,8 +383,9 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
         return all(r.numeric_rank == len(J) * N and not r.marginal for r in (rr, floor))
 
     failing = None
+    whole = (n - m) * min(N, s) >= n - 1 and full_rank_screen(A, X0, tol) is not None
     disjoint = combinations(sorted(set(range(m)) - J0), s)
-    if m >= 2 * s and all(map(clear, disjoint)):
+    if whole or (m >= 2 * s and all(map(clear, disjoint))):
         J, rr = cell(range(m - s, m))
         checked = comb(m, s)
     else:

@@ -375,6 +375,118 @@ class TestDisjointCellScreen:
         assert len(calls) <= 85
 
 
+def last_cell_sigma_min(A, X0, lambda0, s):
+    """sigma_min of the cell J0 | {m-s..m-1} of the normalized instance."""
+    A, X0, _ = _normalized(A, X0, lambda0)
+    m, N = X0.shape
+    J = sorted(set(np.flatnonzero(np.any(X0 != 0, axis=1))) | set(range(m - s, m)))
+    S_J = build_stacked(A, X0)[:, (np.arange(N)[:, None] * m + J).ravel()]
+    return np.linalg.svd(S_J, compute_uv=False)[-1]
+
+
+def record_calls(monkeypatch, *names):
+    """Wrap each named function of bgpc.certify to record what it returns."""
+    module = importlib.import_module("bgpc.certify")
+    results = {name: [] for name in names}
+
+    def recorded(name, f):
+        def wrapper(*a, **k):
+            results[name].append(f(*a, **k))
+            return results[name][-1]
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    return results
+
+
+ROOT_PASSES = [(20, 12, 3, 3), (16, 8, 3, 3), (11, 5, 3, 3)]  # last: m < 2s
+ROOT_COUNT_DECLINES = [(20, 12, 3, 2), (16, 10, 2, 4)]  # (n-m) min(N, s) < n-1
+
+
+class TestWholeDictionaryScreen:
+    """Screening the whole dictionary first changes no report field."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, m, s, N", ROOT_PASSES + ROOT_COUNT_DECLINES)
+    @pytest.mark.parametrize("variant", [
+        "plain", "near_dup_1e-8", "near_dup_1e-12", "tol_0.1", "tol_1",
+        "tol_10", "large", "small"])
+    def test_matches_deciding_every_cell(self, monkeypatch, seed, n, m, s, N,
+                                         variant):
+        inst = random_instance(n, m, N, seed=seed, sparsity=s)
+        A, X0, tol = inst.A, inst.X0, None
+        if variant.startswith("near_dup"):  # inside J0 for seed 1
+            rng = np.random.default_rng(seed)
+            pool = [j for j in range(m) if (j in inst.support) == (seed == 1)]
+            A = A.copy()
+            A[:, pool[-1]] = A[:, pool[0]] + float(variant[9:]) * (
+                rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        elif variant.startswith("tol"):
+            tol = float(variant[4:]) * last_cell_sigma_min(A, X0, inst.lambda0, s)
+        elif variant != "plain":
+            X0 = X0 * (1e300 if variant == "large" else 1e-300)
+        calls = record_calls(monkeypatch, "full_rank_screen", "numeric_rank")
+        rep = certify_joint_sparse(A, X0, inst.lambda0, s, tol=tol)
+        assert rep == certify_every_cell(A, X0, inst.lambda0, s, tol=tol)
+        if (n, m, s, N) in ROOT_COUNT_DECLINES:
+            assert calls["full_rank_screen"] == []
+        elif variant in ("plain", "large", "small"):
+            assert calls["full_rank_screen"][0] is not None
+            assert len(calls["numeric_rank"]) == 1
+            assert rep.verdict == IDENTIFIABLE
+        else:  # a near duplicate, or tol >= sigma_min / 10 of the last cell
+            assert calls["full_rank_screen"] == [None]
+
+    def test_one_cell_factored(self, monkeypatch):
+        # one screen of the whole dictionary and the last cell for the
+        # report; a regression to the 84 disjoint cells fails here
+        calls = record_calls(monkeypatch, "full_rank_screen", "numeric_rank")
+        inst = random_instance(20, 12, 3, seed=5, sparsity=3)
+        rep = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 3)
+        assert len(calls["full_rank_screen"]) == 1
+        assert len(calls["numeric_rank"]) == 1
+        assert rep.support_cells_checked == 220
+        assert rep.verdict == IDENTIFIABLE
+
+
+def shuffled_within(groups, rng):
+    """A permutation of range(len(groups)) moving j only among the indices
+    with the same group key."""
+    p = np.arange(len(groups))
+    for key in set(groups):
+        idx = [j for j, g in enumerate(groups) if g == key]
+        p[idx] = rng.permutation(idx)
+    return p
+
+
+class TestJointSparsePermutation:
+    """Permuting the columns of A with the rows of X0 keeps the verdict."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, m, s, N", [(20, 12, 3, 3), (16, 10, 2, 4)])
+    @pytest.mark.parametrize("variant", ["plain", "dup_outside", "dup_inside"])
+    def test_column_permutation(self, seed, n, m, s, N, variant):
+        inst = random_instance(n, m, N, seed=seed, sparsity=s)
+        A = inst.A if variant == "plain" else duplicate_column(
+            inst, inside=variant == "dup_inside")
+        rep = certify_joint_sparse(A, inst.X0, inst.lambda0, s)
+        assert rep.verdict == (IDENTIFIABLE if variant == "plain" else NOT_CERTIFIED)
+        rng = np.random.default_rng(100 + seed)
+        # any permutation; then one that maps J0 and the first and last s
+        # columns onto themselves, so the reported cell (the last one, or the
+        # first one when a column of J0 is duplicated) keeps its size
+        keep = [(j in inst.support, j < s, j >= m - s) for j in range(m)]
+        for p, same_cell in [(rng.permutation(m), False),
+                             (shuffled_within(keep, rng), variant != "dup_outside")]:
+            perm = certify_joint_sparse(A[:, p], inst.X0[p], inst.lambda0, s)
+            assert perm.verdict == rep.verdict
+            assert perm.condition1_rank_full == rep.condition1_rank_full
+            assert perm.condition2_lambda_unique == rep.condition2_lambda_unique
+            if same_cell:
+                assert perm.required_rank == rep.required_rank
+
+
 def certify_stacked_svd(A, X0, lambda0, tol=None):
     """The subspace certificate from one SVD of the stacked matrix."""
     A, X0, lambda0 = _normalized(A, X0, lambda0)
