@@ -8,8 +8,7 @@ Monte-Carlo grids to expose the sample-complexity phase transition.
 """
 
 from .certify import (CertificateReport, IDENTIFIABLE, JOINT_SPARSE,
-                      NOT_CERTIFIED, SUBSPACE, build_D_block, build_D_stack,
-                      build_stacked, build_stacked_restricted,
+                      NOT_CERTIFIED, SUBSPACE, build_D_stack, build_stacked,
                       certify_joint_sparse, certify_subspace)
 from .construct import (ConstructedInstance, VerificationRecord,
                         construct_claim1, construct_claim2, select_columns,
@@ -22,7 +21,7 @@ from .model import (BGPCInstance, ScaleAlignment, align_scale, forward,
                     min_samples_joint_sparse, min_samples_subspace,
                     random_instance)
 from .recover import (AMBIGUOUS, DEGENERATE_GAMMA, RecoveryResult, UNIQUE,
-                      build_recovery_system, recover, recover_joint_sparse)
+                      recover, recover_joint_sparse)
 
 __all__ = [
     "AMBIGUOUS", "BGPCInstance", "BgpcError", "BudgetExceededError",
@@ -31,8 +30,7 @@ __all__ = [
     "InfeasibleConstructionError", "JOINT_SPARSE", "NOT_CERTIFIED",
     "PhaseCell", "RankResult", "RecoveryResult", "SUBSPACE", "ScaleAlignment",
     "SweepConfig", "UNIQUE", "VerificationRecord", "align_scale",
-    "build_D_block", "build_D_stack", "build_recovery_system", "build_stacked",
-    "build_stacked_restricted", "certify_joint_sparse", "certify_subspace",
+    "build_D_stack", "build_stacked", "certify_joint_sparse", "certify_subspace",
     "construct_claim1", "construct_claim2", "dft_matrix", "forward",
     "min_samples_joint_sparse", "min_samples_subspace", "numeric_rank",
     "random_instance", "recover", "recover_joint_sparse", "run_sweep",

@@ -75,7 +75,6 @@ rounding terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -83,7 +82,7 @@ import numpy as np
 from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance,
                     default_cutoff, numeric_rank, pow2_scaled, rank_decision)
 from .errors import DimensionError
-from .model import DEFAULT_CELL_BUDGET, check_cell_budget
+from .model import DEFAULT_CELL_BUDGET, check_cell_budget, support_cells
 
 SUBSPACE = "Subspace"
 JOINT_SPARSE = "JointSparse"
@@ -110,22 +109,11 @@ class CertificateReport:
     failing_support: tuple[int, ...] | None = None
 
 
-def build_D_block(a_row, X0) -> np.ndarray:
-    """Cross-ratio block for one measurement row, shape (N-1) x mN.
-
-    Row j of the left factor has -(a_row @ X0[:, j]) in column 0 and
-    (a_row @ X0[:, 0]) in column j; the block is that factor Kronecker-
-    multiplied on the right by a_row. By construction it annihilates
-    the column-major vectorization of X0.
-    """
-    return build_D_stack(np.asarray(a_row, dtype=np.complex128).reshape(1, -1), X0)
-
-
 def build_D_stack(A, X0) -> np.ndarray:
     """All n cross-ratio blocks C_k kron a_k stacked, shape n(N-1) x mN.
 
-    Block k is :func:`build_D_block` of row a_k = A[k, :]; the left factors
-    C_k come from W = A @ X0 and all n blocks are filled in one broadcast.
+    Row j of C_k has -w_kj in column 0 and w_k0 in column j (W = A @ X0), so
+    each block annihilates vec(X0); all n blocks are filled in one broadcast.
     """
     A = as_cmatrix(A, "A")
     X0 = as_cmatrix(X0, "X0")
@@ -154,7 +142,8 @@ def build_stacked(A, X0) -> np.ndarray:
 
 
 def build_stacked_restricted(A, X0, J) -> np.ndarray:
-    """Certificate matrix of the column/row restriction to index set J (0-based)."""
+    """Certificate matrix of the column/row restriction to index set J
+    (0-based); a test oracle for the column gather of certify_joint_sparse."""
     A = as_cmatrix(A, "A")
     X0 = as_cmatrix(X0, "X0")
     J = sorted(set(int(j) for j in J))
@@ -329,33 +318,23 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     The row support J0 of X0 must have size s, with 1 <= s <= m and n > 2s.
     For every s-subset J1 of the dictionary columns (lexicographic order),
     the restriction to J = J0 union J1 must have full column rank |J| * N;
-    the loop exits on the first failing subset, which is recorded in the
-    report. A, X0 and lambda0 are scaled to unit size first, as in
-    :func:`certify_subspace`.
+    the report names the first failing subset and its position. A, X0 and
+    lambda0 are scaled to unit size first, as in :func:`certify_subspace`.
 
-    The certificate matrix is built once: since X0 vanishes off J0, the
-    restriction to J (:func:`build_stacked_restricted`) is exactly the
-    columns t*m + j, j in J, t < N, of :func:`build_stacked`. A cell then
-    costs one column gather and one values-only SVD.
-
-    Supersets. If J lies inside K, the cell matrix S_J is a column subset,
-    with the same rows, of S_K, so sigma_min(S_J) >= sigma_min(S_K) and
-    S_J's sigma_max and cutoff (max(rows, cols) eps sigma_max, or ``tol``)
-    are no larger. When S_K clears 10x both of its cutoffs (``tol`` and
-    the default one, a bound on rounding), every cell inside K passes,
-    whatever the rounding of the cell's own SVD. Every cell lies inside
-    the whole dictionary, whose cell matrix is S itself, so the call first
-    tries :func:`full_rank_screen`, which passes only clear of 10x ``tol``
-    and of max(rows, cols) eps ||S||_F, a bound on S's default cutoff. It
-    skips the screen when (n - m) min(N, s) < n - 1, where S cannot have
-    rank mN: the rows of the gain system G = [Q_perp^H diag(w_j)]_j of
-    :mod:`bgpc.recover` then span at most (n - m) rank(A X0) <= (n - m)
-    min(N, s) dimensions, which leaves G a null space of dimension two or
-    more. Failing the screen, for m >= 2s every cell lies inside one whose
-    J1 is disjoint from J0, and those C(m - s, s) cells are factored. If
-    either test passes, all cells pass and the last one is factored for the
-    report; otherwise every cell is decided in order, so a failing report
-    names the first failing cell.
+    As X0 vanishes off J0, the cell matrix S_J is the column gather of the
+    columns t*m + j, j in J, t < N, of S = :func:`build_stacked`, so S is
+    built once and a cell costs one values-only SVD. If J lies inside J',
+    S_J is a column subset of S_J' with the same rows: sigma_min(S_J) >=
+    sigma_min(S_J'), and S_J's sigma_max and cutoff are no larger. So when
+    S_J' has full rank clear of 10x both ``tol`` and its default cutoff (a
+    bound on rounding), every cell inside J' passes. The cells come from
+    :func:`bgpc.model.support_cells`, which skips the subtree below a column
+    set K when J' = J0 union K is so clear; its root K is every column,
+    where S_J' = S. A node is declined unfactored if (n - |J'|) min(N, s)
+    < n - 1: the rows of the gain system G = [Q_perp^H diag(w_j)]_j of
+    :mod:`bgpc.recover` then span at most (n - |J'|) rank(A X0) dimensions,
+    leaving G a null space of dimension two or more, so S_J' is short of
+    full rank. If no cell fails, the last one is factored for the report.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     n, m = A.shape
@@ -373,27 +352,27 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     S = build_stacked(A, X0)
     block_starts = np.arange(N)[:, None] * m
 
-    def cell(J1):
-        J = sorted(J0 | set(J1))
+    def cell(K):
+        J = sorted(J0.union(K))
         return J, numeric_rank(S[:, (block_starts + J).ravel()], tol=tol)
 
-    def clear(J1):  # full rank, clear of 10x its cutoff and the default one
-        J, rr = cell(J1)
+    def clear(K):  # full rank, clear of 10x its cutoff and the default one
+        if (n - len(J0.union(K))) * min(N, s) < n - 1:
+            return False
+        J, rr = cell(K)
         floor = rank_decision(rr.singular_values, (S.shape[0], len(J) * N))
         return all(r.numeric_rank == len(J) * N and not r.marginal for r in (rr, floor))
 
     failing = None
-    whole = (n - m) * min(N, s) >= n - 1 and full_rank_screen(A, X0, tol) is not None
-    disjoint = combinations(sorted(set(range(m)) - J0), s)
-    if whole or (m >= 2 * s and all(map(clear, disjoint))):
+    for J1 in support_cells(m, s, clear):
+        J, rr = cell(J1)
+        if rr.numeric_rank != len(J) * N:
+            failing = J1
+            checked = comb(m, s) - sum(comb(m - 1 - c, s - i) for i, c in enumerate(J1))
+            break
+    else:
         J, rr = cell(range(m - s, m))
         checked = comb(m, s)
-    else:
-        for checked, J1 in enumerate(combinations(range(m), s), start=1):
-            J, rr = cell(J1)
-            if rr.numeric_rank != len(J) * N:
-                failing = tuple(J1)
-                break
     cond1 = failing is None
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
     return CertificateReport(

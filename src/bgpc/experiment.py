@@ -77,6 +77,8 @@ class SweepConfig:
             raise DimensionError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.mode == JOINT_SPARSE and self.m is None:
             raise DimensionError("JointSparse sweeps need the dictionary size m")
+        if self.mode == JOINT_SPARSE and self.check_recovery:
+            raise DimensionError("check_recovery applies to Subspace sweeps only")
         check_tolerance(self.tolerance)
 
 
@@ -132,7 +134,7 @@ def _run_cell(cfg: SweepConfig, dim: int, N: int) -> PhaseCell:
                                           tol=cfg.tolerance,
                                           max_cells=cfg.max_cells)
         ok = report.verdict == IDENTIFIABLE
-        if ok and cfg.check_recovery and cfg.mode == SUBSPACE:
+        if ok and cfg.check_recovery:
             res = recover(forward(inst), inst.A, tol=cfg.tolerance)
             ok = res.status == UNIQUE
         elapsed += time.perf_counter() - t0
@@ -145,9 +147,8 @@ def _run_cell(cfg: SweepConfig, dim: int, N: int) -> PhaseCell:
                      mean_runtime_ms=mean_ms)
 
 
-def run_sweep(cfg: SweepConfig, max_workers: int | None = None) -> list[PhaseCell]:
-    """Run the grid serially, in grid order. ``max_workers`` is accepted and
-    ignored: a thread pool measured slower than this loop."""
+def run_sweep(cfg: SweepConfig) -> list[PhaseCell]:
+    """Run the grid serially, in grid order."""
     return [_run_cell(cfg, dim, N) for dim in cfg.dim_range for N in cfg.N_range]
 
 

@@ -130,6 +130,24 @@ def check_cell_budget(m: int, s: int, max_cells: int) -> None:
             f"support enumeration needs {n_cells} cells, budget is {max_cells}")
 
 
+def support_cells(m: int, s: int, ruled_out):
+    """The s-subsets of range(m) as tuples, in lexicographic order, less the
+    subtrees ruled out whole: below a node with chosen columns ``prefix``
+    and next column j lie the cells inside K = prefix + (j..m-1), skipped
+    when ``ruled_out(K)``. The caller decides each cell yielded."""
+    def walk(prefix, start):
+        if len(prefix) == s:
+            yield prefix
+            return
+        for j in range(start, m - s + len(prefix) + 1):
+            # K shrinks as j grows, so the first K ruled out ends the loop;
+            # at j = start it is the caller's own K
+            if (j > start or not prefix) and ruled_out(prefix + tuple(range(j, m))):
+                return
+            yield from walk(prefix + (j,), j + 1)
+    return walk((), 0)
+
+
 def align_scale(estimate, truth) -> ScaleAlignment:
     """Closed-form minimizer of ||estimate - sigma*truth||_F over complex sigma.
 

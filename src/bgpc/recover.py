@@ -29,7 +29,8 @@ import numpy as np
 from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance,
                     default_cutoff, rank_decision)
 from .errors import DimensionError, InconsistentSystemError
-from .model import DEFAULT_CELL_BUDGET, align_scale, check_cell_budget
+from .model import (DEFAULT_CELL_BUDGET, align_scale, check_cell_budget,
+                    support_cells)
 
 UNIQUE = "Unique"
 AMBIGUOUS = "Ambiguous"
@@ -144,16 +145,17 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     requires all kept supports to yield scale-equivalent solutions; the
     reported support is the first (lexicographically minimal) passing one.
 
-    Cells are ruled out a subtree at a time: below a node of the
-    lexicographic tree lie the s-subsets J of K = prefix + {i..m-1}. As
-    range(A_J) lies in range(A_K), Q_perp,K = Q_perp,J T with T orthonormal:
+    The cells come from :func:`bgpc.model.support_cells`, which skips every
+    subtree whose column set K is ruled out; each cell J it yields is
+    tested the same way, as K = J. For J inside K, range(A_J) lies in
+    range(A_K), so Q_perp,K = Q_perp,J T with T orthonormal:
     G_K = (I_N kron T^H) G_J, so sigma_n(G_J) >= sigma_n(G_K). Every cell's
     cutoff is at most ``tol`` or max((n-s)N, n) eps sqrt(N) max|Y|, since
     sqrt(N) max|Y| bounds each row norm of Y and so sigma_max(G_J). If A_K
     has full column rank clear of its cutoff and sigma_n(G_K) clears 10x
-    that bound, by a safety factor for the computed Q_perp, every cell below
-    has null_dim 0 clear of its cutoff and is skipped. At |K| = s this is
-    one cell's screen; the cells left are solved as in :func:`recover`.
+    that bound, by a safety factor for the computed Q_perp, every cell
+    inside K has null_dim 0 clear of its cutoff and is skipped. The cells
+    left are solved as in :func:`recover`.
     """
     Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
@@ -176,22 +178,11 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
         sG = np.linalg.svd(G, compute_uv=False)  # n values: G has >= n rows
         return sG[-1] > SCREEN_SAFETY * (10 * bound + q_err)
 
-    def cells(prefix, start):
-        # lexicographic cells prefix + J', J' in {start..m-1}, not ruled out
-        if len(prefix) == s:
-            if not ruled_out(prefix):
-                yield prefix
-            return
-        for j in range(start, m - s + len(prefix) + 1):
-            # K = prefix + (j..m-1) shrinks as j grows, so the first K ruled
-            # out ends the loop; at j = start it is the caller's own K
-            if (j > start or not prefix) and ruled_out(prefix + tuple(range(j, m))):
-                return
-            yield from cells(prefix + (j,), j + 1)
-
     hits = []
     max_null = 0
-    for J in cells((), 0):
+    for J in support_cells(m, s, ruled_out):
+        if ruled_out(J):
+            continue
         null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
         max_null = max(max_null, null_dim)
         if gamma is None or _degenerate(gamma, gamma_tol):

@@ -43,7 +43,7 @@ def test_criterion_2_subspace_phase_transition():
     cfg = SweepConfig(mode="Subspace", n=16, dim_range=list(range(2, 13)),
                       N_range=list(range(2, 9)), trials=50, base_seed=42,
                       record_timing=False)
-    cells = run_sweep(cfg, max_workers=4)
+    cells = run_sweep(cfg)
     assert len(cells) == 11 * 7
     for c in cells:
         threshold = min_samples_subspace(16, c.dim)
@@ -60,7 +60,7 @@ def test_criterion_3_joint_sparse_phase_transition():
     cfg = SweepConfig(mode="JointSparse", n=16, m=8, dim_range=[2, 3],
                       N_range=[2, 3], trials=25, base_seed=42,
                       record_timing=False)
-    cells = run_sweep(cfg, max_workers=4)
+    cells = run_sweep(cfg)
     for c in cells:
         threshold = min_samples_joint_sparse(16, c.dim)
         assert threshold == 2
@@ -172,7 +172,7 @@ def test_criterion_7e_csv_byte_reproducibility():
                       N_range=[2, 3, 4, 5], trials=5, base_seed=11,
                       record_timing=False)
     first = cells_to_csv(run_sweep(cfg))
-    second = cells_to_csv(run_sweep(cfg, max_workers=4))
+    second = cells_to_csv(run_sweep(cfg))
     assert first.encode() == second.encode()
     assert sum(c.trials for c in run_sweep(cfg)) == 100
 

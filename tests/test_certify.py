@@ -8,19 +8,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bgpc import (BudgetExceededError, DimensionError, IDENTIFIABLE,
-                  NOT_CERTIFIED, build_D_block, build_D_stack, build_stacked,
-                  build_stacked_restricted, certify_joint_sparse,
-                  certify_subspace, dft_matrix, random_instance)
+                  NOT_CERTIFIED, build_D_stack, build_stacked,
+                  certify_joint_sparse, certify_subspace, dft_matrix,
+                  random_instance)
 from bgpc.certify import (JOINT_SPARSE, SUBSPACE, CertificateReport,
                           _elimination_bound, _lambda_uniqueness, _norm,
-                          _normalized, _stacked_bound, full_rank_screen,
-                          stacked_rank)
+                          _normalized, _stacked_bound, build_stacked_restricted,
+                          full_rank_screen, stacked_rank)
 from bgpc.construct import construct_claim1
 from bgpc.cxmat import default_cutoff, numeric_rank
+from bgpc.model import support_cells
 
 
 def vec(X):
     return X.flatten(order="F")
+
+
+def build_D_block(a_row, X0):
+    """Cross-ratio block for one measurement row: build_D_stack of one row."""
+    return build_D_stack(np.asarray(a_row, dtype=np.complex128).reshape(1, -1), X0)
 
 
 class TestBuildDBlock:
@@ -335,6 +341,14 @@ def duplicate_column(inst, inside):
     return A
 
 
+def duplicate_top_outside(inst):
+    """A with its highest column outside J0 copied from the next highest."""
+    outside = [j for j in range(inst.m) if j not in inst.support]
+    A = inst.A.copy()
+    A[:, outside[-1]] = A[:, outside[-2]]
+    return A
+
+
 class TestDisjointCellScreen:
     """Deciding the cells disjoint from J0 first changes no report field."""
 
@@ -405,18 +419,21 @@ ROOT_COUNT_DECLINES = [(20, 12, 3, 2), (16, 10, 2, 4)]  # (n-m) min(N, s) < n-1
 
 
 class TestWholeDictionaryScreen:
-    """Screening the whole dictionary first changes no report field."""
+    """Deciding the whole dictionary, the walk's root, first changes no
+    report field."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n, m, s, N", ROOT_PASSES + ROOT_COUNT_DECLINES)
     @pytest.mark.parametrize("variant", [
         "plain", "near_dup_1e-8", "near_dup_1e-12", "tol_0.1", "tol_1",
-        "tol_10", "large", "small"])
+        "tol_10", "large", "small", "dup_top_outside"])
     def test_matches_deciding_every_cell(self, monkeypatch, seed, n, m, s, N,
                                          variant):
         inst = random_instance(n, m, N, seed=seed, sparsity=s)
         A, X0, tol = inst.A, inst.X0, None
-        if variant.startswith("near_dup"):  # inside J0 for seed 1
+        if variant == "dup_top_outside":
+            A = duplicate_top_outside(inst)
+        elif variant.startswith("near_dup"):  # inside J0 for seed 1
             rng = np.random.default_rng(seed)
             pool = [j for j in range(m) if (j in inst.support) == (seed == 1)]
             A = A.copy()
@@ -429,25 +446,41 @@ class TestWholeDictionaryScreen:
         calls = record_calls(monkeypatch, "full_rank_screen", "numeric_rank")
         rep = certify_joint_sparse(A, X0, inst.lambda0, s, tol=tol)
         assert rep == certify_every_cell(A, X0, inst.lambda0, s, tol=tol)
-        if (n, m, s, N) in ROOT_COUNT_DECLINES:
-            assert calls["full_rank_screen"] == []
-        elif variant in ("plain", "large", "small"):
-            assert calls["full_rank_screen"][0] is not None
-            assert len(calls["numeric_rank"]) == 1
+        assert calls["full_rank_screen"] == []
+        if variant in ("plain", "large", "small"):
             assert rep.verdict == IDENTIFIABLE
-        else:  # a near duplicate, or tol >= sigma_min / 10 of the last cell
-            assert calls["full_rank_screen"] == [None]
+            if (n, m, s, N) in ROOT_COUNT_DECLINES:  # below 84 disjoint cells + 1
+                assert len(calls["numeric_rank"]) < 85
+            else:  # the root and the last cell
+                assert len(calls["numeric_rank"]) == 2
+        elif variant == "dup_top_outside":
+            assert rep.verdict == NOT_CERTIFIED
 
     def test_one_cell_factored(self, monkeypatch):
-        # one screen of the whole dictionary and the last cell for the
-        # report; a regression to the 84 disjoint cells fails here
+        # one SVD of the whole dictionary and the last cell for the report;
+        # a regression to the 84 disjoint cells fails here
         calls = record_calls(monkeypatch, "full_rank_screen", "numeric_rank")
         inst = random_instance(20, 12, 3, seed=5, sparsity=3)
         rep = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 3)
-        assert len(calls["full_rank_screen"]) == 1
-        assert len(calls["numeric_rank"]) == 1
+        assert calls["full_rank_screen"] == []
+        assert len(calls["numeric_rank"]) == 2
         assert rep.support_cells_checked == 220
         assert rep.verdict == IDENTIFIABLE
+
+    def test_failure_after_ruled_out_subtrees(self, monkeypatch):
+        # the first failing cell is the 21st of 56; subtrees before it are
+        # decided whole, so fewer cells than that are factored
+        module = importlib.import_module("bgpc.certify")
+        walked = []
+        monkeypatch.setattr(module, "support_cells", lambda *a: (
+            walked.append(J) or J for J in support_cells(*a)))
+        inst = random_instance(16, 8, 3, seed=0, sparsity=3)
+        A = duplicate_top_outside(inst)
+        rep = certify_joint_sparse(A, inst.X0, inst.lambda0, 3)
+        assert rep == certify_every_cell(A, inst.X0, inst.lambda0, 3)
+        assert rep.support_cells_checked == 21
+        assert rep.failing_support == walked[-1]
+        assert len(walked) < 21
 
 
 def shuffled_within(groups, rng):

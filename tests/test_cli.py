@@ -225,6 +225,8 @@ class TestSweep:
         ({"N_range": None}, "N_range must be a nonempty list of integers"),
         ({"record_timing": "no"}, "record_timing must be true or false"),
         ({"check_recovery": 1}, "check_recovery must be true or false"),
+        ({"mode": "JointSparse", "m": 8, "check_recovery": True},
+         "check_recovery applies to Subspace sweeps only"),
         ({"base_seed": -1}, "base_seed must be >= 0"),
     ])
     def test_malformed_config_is_input_error(self, tmp_path, capsys,

@@ -41,11 +41,6 @@ class TestRunSweep:
             [(3, 2), (3, 3), (4, 2), (4, 3), (8, 2), (8, 3)]
         assert cells1 == cells2
 
-    def test_parallel_matches_serial(self):
-        serial = run_sweep(small_config())
-        parallel = run_sweep(small_config(), max_workers=4)
-        assert serial == parallel
-
     def test_rates_at_threshold(self):
         # n = 10: threshold is 2 for m in {3, 4}; m = 8 needs N >= 5
         for c in run_sweep(small_config()):
@@ -136,6 +131,11 @@ class TestConfigValidation:
         with pytest.raises(DimensionError, match="m must be an integer"):
             SweepConfig(mode=JOINT_SPARSE, n=16, m=m, dim_range=[2],
                         N_range=[2], trials=1)
+
+    def test_check_recovery_rejected_in_joint_sparse(self):
+        with pytest.raises(DimensionError, match="check_recovery applies to Subspace"):
+            SweepConfig(mode=JOINT_SPARSE, n=16, m=8, dim_range=[2],
+                        N_range=[2], trials=1, check_recovery=True)
 
     @pytest.mark.parametrize("tol", [-1e-9, float("nan"), "1e-3", True])
     def test_bad_tolerance_before_any_trial(self, tol):

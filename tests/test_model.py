@@ -1,9 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bgpc import (BGPCInstance, DimensionError, align_scale, forward,
                   min_samples_joint_sparse, min_samples_subspace,
                   random_instance)
+from bgpc.model import support_cells
 
 
 def forward_oracle(inst):
@@ -178,3 +182,46 @@ class TestAlignScale:
         al = align_scale(E, T * 1e-300)
         assert al.relative_error == np.inf
         assert not al.relative_error <= 1e-6
+
+
+def walk_shapes():
+    return st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m),
+                                                          st.integers(0, m)))
+
+
+class TestSupportCells:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=walk_shapes())
+    def test_nothing_ruled_out_yields_every_cell(self, shape):
+        m, s = shape
+        asked = []
+        cells = list(support_cells(m, s, lambda K: asked.append(K) or False))
+        assert cells == list(combinations(range(m), s))
+        # each superset is asked once, and it is a prefix plus a full tail
+        assert len(asked) == len(set(asked))
+        assert all(len(K) >= s and K[-1] == m - 1 for K in asked)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(shape=walk_shapes(), seed=st.integers(0, 2 ** 31 - 1),
+           p=st.sampled_from([0.1, 0.3, 0.6, 0.9]), monotone=st.booleans())
+    def test_omitted_cells_lie_inside_a_ruled_out_superset(self, shape, seed, p,
+                                                           monotone):
+        # monotone: K is ruled out exactly when it lies inside a random good
+        # set of columns; otherwise each K gets an arbitrary random answer
+        m, s = shape
+        rng = np.random.default_rng(seed)
+        good = set(np.flatnonzero(rng.random(m) < p).tolist())
+        answers = {}
+
+        def ruled_out(K):
+            assert K not in answers
+            answers[K] = set(K) <= good if monotone else bool(rng.random() < p)
+            return answers[K]
+
+        cells = list(support_cells(m, s, ruled_out))
+        every = list(combinations(range(m), s))
+        walked = set(cells)
+        assert cells == [J for J in every if J in walked]  # a subsequence
+        ruled = [set(K) for K, out in answers.items() if out]
+        for J in set(every) - walked:
+            assert any(set(J) <= K for K in ruled)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale,
-                  build_recovery_system, forward, numeric_rank,
-                  random_instance, recover, recover_joint_sparse)
+from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale, forward,
+                  numeric_rank, random_instance, recover, recover_joint_sparse)
 from bgpc.errors import BudgetExceededError, DimensionError
 from bgpc.recover import (DEFAULT_GAMMA_TOL, EQUIVALENCE_TOL, _degenerate,
-                          _gamma_system, _solve_gamma)
+                          _gamma_system, _solve_gamma, build_recovery_system)
 
 
 class TestBuildSystem:
