@@ -79,8 +79,8 @@ from math import comb
 
 import numpy as np
 
-from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance,
-                    default_cutoff, numeric_rank, pow2_scaled, rank_decision)
+from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance, clears,
+                    default_cutoff, numeric_rank, pow2_scaled)
 from .errors import DimensionError
 from .model import DEFAULT_CELL_BUDGET, check_cell_budget, support_cells
 
@@ -210,7 +210,7 @@ def _elimination_bound(R, K, X0) -> float:
     m = X0.shape[0]
     sR = np.linalg.svd(R, compute_uv=False)
     r_err = SCREEN_SAFETY * default_cutoff(R.shape, sR[0])
-    if not sR[-1] > 10 * r_err:
+    if not clears(sR[-1], r_err):
         return 0.0
     r = sR[-1] - r_err
     K_top = K[:, :m]
@@ -268,7 +268,7 @@ def full_rank_screen(A, X0, tol: float | None = None) -> float | None:
         return None
     low, s_norm = _stacked_bound(A, X0)
     cutoff = default_cutoff((1 + n * (N - 1), m * N), s_norm)
-    if not low > 10 * max(cutoff, tol or 0.0):
+    if not clears(low, cutoff, tol):
         return None
     return cutoff if tol is None else float(tol)
 
@@ -334,7 +334,9 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     < n - 1: the rows of the gain system G = [Q_perp^H diag(w_j)]_j of
     :mod:`bgpc.recover` then span at most (n - |J'|) rank(A X0) dimensions,
     leaving G a null space of dimension two or more, so S_J' is short of
-    full rank. If no cell fails, the last one is factored for the report.
+    full rank. Every J' holds J0, so once a factored node is not clear, S_J0
+    is factored; if it is not clear either, no node is, and none is factored
+    again. If no cell fails, the report is the last cell's.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     n, m = A.shape
@@ -356,22 +358,32 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
         J = sorted(J0.union(K))
         return J, numeric_rank(S[:, (block_starts + J).ravel()], tol=tol)
 
-    def clear(K):  # full rank, clear of 10x its cutoff and the default one
-        if (n - len(J0.union(K))) * min(N, s) < n - 1:
-            return False
-        J, rr = cell(K)
-        floor = rank_decision(rr.singular_values, (S.shape[0], len(J) * N))
-        return all(r.numeric_rank == len(J) * N and not r.marginal for r in (rr, floor))
+    def clear(J, rr):  # full rank, clear of its cutoff and the default one
+        sv = rr.singular_values
+        return rr.numeric_rank == len(J) * N and clears(
+            sv[-1], default_cutoff((S.shape[0], len(J) * N), sv[0]), tol)
 
-    failing = None
-    for J1 in support_cells(m, s, clear):
+    J0_clear = None  # asked once, after the first factored node that is not clear
+
+    def ruled_out(K):
+        nonlocal J0_clear
+        if J0_clear is False or (n - len(J0.union(K))) * min(N, s) < n - 1:
+            return False
+        ok = clear(*cell(K))
+        if not ok and J0_clear is None:
+            J0_clear = clear(*cell(()))
+        return ok
+
+    failing = J1 = None
+    for J1 in support_cells(m, s, ruled_out):
         J, rr = cell(J1)
         if rr.numeric_rank != len(J) * N:
             failing = J1
             checked = comb(m, s) - sum(comb(m - 1 - c, s - i) for i, c in enumerate(J1))
             break
     else:
-        J, rr = cell(range(m - s, m))
+        if J1 != tuple(range(m - s, m)):  # the walk skipped the last cell
+            J, rr = cell(range(m - s, m))
         checked = comb(m, s)
     cond1 = failing is None
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED

@@ -51,34 +51,28 @@ def _cmd_gen(args) -> int:
 
 def _cmd_certify(args) -> int:
     inst = serialize.instance_from_dict(serialize.load_json(args.instance))
-    rep = certify.certify_subspace(inst.A, inst.X0, inst.lambda0,
-                                   tol=_tol_from_env(args.tol))
+    if args.command == "certify":
+        rep = certify.certify_subspace(inst.A, inst.X0, inst.lambda0,
+                                       tol=_tol_from_env(args.tol))
+        detail = f"rank {rep.stacked_rank}/{rep.required_rank}"
+    else:
+        s = args.s if args.s is not None else inst.s
+        if s is None:
+            raise ValueError("instance has no support field; pass --s")
+        rep = certify.certify_joint_sparse(inst.A, inst.X0, inst.lambda0, s,
+                                           tol=_tol_from_env(args.tol),
+                                           max_cells=args.max_cells)
+        detail = f"{rep.support_cells_checked} support cells checked"
     if args.out:
         serialize.dump_json(serialize.report_to_dict(rep), args.out)
-    print(f"{rep.mode}: {rep.verdict} "
-          f"(rank {rep.stacked_rank}/{rep.required_rank})")
-    return EXIT_OK if rep.verdict == certify.IDENTIFIABLE else EXIT_NOT_CERTIFIED
-
-
-def _cmd_certify_sparse(args) -> int:
-    inst = serialize.instance_from_dict(serialize.load_json(args.instance))
-    s = args.s if args.s is not None else inst.s
-    if s is None:
-        raise ValueError("instance has no support field; pass --s")
-    rep = certify.certify_joint_sparse(inst.A, inst.X0, inst.lambda0, s,
-                                       tol=_tol_from_env(args.tol),
-                                       max_cells=args.max_cells)
-    if args.out:
-        serialize.dump_json(serialize.report_to_dict(rep), args.out)
-    print(f"{rep.mode}: {rep.verdict} "
-          f"({rep.support_cells_checked} support cells checked)")
+    print(f"{rep.mode}: {rep.verdict} ({detail})")
     return EXIT_OK if rep.verdict == certify.IDENTIFIABLE else EXIT_NOT_CERTIFIED
 
 
 def _cmd_construct(args) -> int:
     ci = construct.construct_claim1(args.n, args.m, args.N)
     serialize.dump_json(serialize.constructed_to_dict(ci), args.out)
-    cols = ",".join(str(j + 1) for j in ci.selected_cols)
+    cols = ",".join(map(str, serialize._one_based(ci.selected_cols)))
     print(f"selected DFT columns: {cols}; "
           f"expected left null dim {ci.expected_left_null_dim}")
     return EXIT_OK
@@ -116,8 +110,8 @@ def _cmd_recover(args) -> int:
         detail = f" (null dim {res.null_dim})"
     else:
         res = run_recovery_sparse(Y, A, args.s, tol=tol, max_cells=args.max_cells)
-        detail = ("" if res.support is None
-                  else " support " + ",".join(str(j + 1) for j in res.support))
+        support = serialize._one_based(res.support)
+        detail = "" if support is None else " support " + ",".join(map(str, support))
     if args.out:
         serialize.dump_json(serialize.recovery_to_dict(res), args.out)
     print(f"recovery: {res.status}{detail}")
@@ -190,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs = sub.add_parser("certify-sparse", parents=[instance, tol_out, cells],
                         help="run the joint-sparsity certificate")
     cs.add_argument("--s", type=int, default=None)
-    cs.set_defaults(func=_cmd_certify_sparse)
+    cs.set_defaults(func=_cmd_certify)
 
     co = sub.add_parser("construct", parents=[build],
                         help="build the explicit DFT-column instance")

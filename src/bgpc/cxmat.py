@@ -5,8 +5,8 @@ the helpers in this module: DFT matrices and the one rank decision. Every
 numeric rank in the package comes from :func:`rank_decision`, which owns
 the check that an explicit cutoff is nonnegative and the flag for a
 marginal call. The default cutoff ``max(rows, cols) * eps * sigma_max`` is
-:func:`default_cutoff`; the screens that decide a rank from a bound, with
-no SVD of the matrix itself, use the same rule for their rounding terms.
+:func:`default_cutoff` and the one margin rule is :func:`clears`; the
+screens that decide a rank from a bound, with no SVD, use both.
 
 Matrices are plain ``numpy.ndarray`` of dtype complex128, treated as
 immutable values: every operation returns a fresh array and never mutates
@@ -82,6 +82,12 @@ def default_cutoff(shape: tuple[int, ...], scale: float) -> float:
     return max(shape) * EPS * scale
 
 
+def clears(low: float, cutoff: float, tol: float | None = None) -> bool:
+    """low > c and not low < 10 c, for c = cutoff or, given tol, max(cutoff, tol)."""
+    c = cutoff if tol is None else max(cutoff, tol)
+    return low > c and not low < 10 * c
+
+
 def rank_decision(s: np.ndarray, shape: tuple[int, int],
                   tol: float | None = None) -> RankResult:
     """Rank of a matrix of ``shape`` from its nonincreasing singular values.
@@ -92,7 +98,7 @@ def rank_decision(s: np.ndarray, shape: tuple[int, int],
     if tol is None:
         tol = default_cutoff(shape, float(s[0]) if s.size else 0.0)
     rank = int(np.count_nonzero(s > tol))
-    marginal = rank > 0 and float(s[rank - 1]) < 10.0 * tol
+    marginal = rank > 0 and not clears(float(s[rank - 1]), tol)
     return RankResult(numeric_rank=rank, singular_values=s,
                       tolerance_used=float(tol), marginal=marginal)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance,
+from .cxmat import (SCREEN_SAFETY, as_cmatrix, check_tolerance, clears,
                     default_cutoff, rank_decision)
 from .errors import DimensionError, InconsistentSystemError
 from .model import (DEFAULT_CELL_BUDGET, align_scale, check_cell_budget,
@@ -171,12 +171,12 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     def ruled_out(K) -> bool:
         if bound <= 0 or (n - len(K)) * N < n:
             return False
-        _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])
-        if sA[-1] <= 10 * SCREEN_SAFETY * n * EPS * sA[0]:
+        _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])  # A_K is n x |K|
+        if not clears(sA[-1], SCREEN_SAFETY * default_cutoff((n, len(K)), sA[0])):
             return False
-        q_err = n * EPS * y_max * sA[0] / sA[-1]
+        q_err = default_cutoff((n, len(K)), y_max) * (sA[0] / sA[-1])  # <= y_max / 40
         sG = np.linalg.svd(G, compute_uv=False)  # n values: G has >= n rows
-        return sG[-1] > SCREEN_SAFETY * (10 * bound + q_err)
+        return clears(sG[-1] - SCREEN_SAFETY * q_err, SCREEN_SAFETY * bound)
 
     hits = []
     max_null = 0

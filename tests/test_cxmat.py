@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bgpc import DimensionError, dft_matrix, numeric_rank
-from bgpc.cxmat import EPS, default_cutoff, pow2_scaled, rank_decision
+from bgpc.cxmat import EPS, clears, default_cutoff, pow2_scaled, rank_decision
 
 
 def rand_cmat(rng, r, c):
@@ -111,6 +111,12 @@ class TestRankDecision:
         # nothing kept, nothing borderline
         assert not rank_decision(s, (2, 2), tol=2.0).marginal
 
+    def test_marginal_boundary_is_exact(self):
+        # 10 * 0.1 == 1.0 in binary: a value at exactly 10x the cutoff clears
+        assert 10 * 0.1 == 1.0
+        assert not rank_decision(np.array([1.0]), (1, 1), tol=0.1).marginal
+        assert rank_decision(np.array([np.nextafter(1.0, 0)]), (1, 1), tol=0.1).marginal
+
     def test_no_singular_values(self):
         rr = rank_decision(np.zeros(0), (0, 3))
         assert (rr.numeric_rank, rr.tolerance_used, rr.marginal) == (0, 0.0, False)
@@ -122,6 +128,34 @@ class TestRankDecision:
         ref = rank_decision(np.linalg.svd(M, compute_uv=False), M.shape)
         assert rr.numeric_rank == ref.numeric_rank == 3
         assert rr.tolerance_used == ref.tolerance_used
+
+
+class TestClears:
+    """The one margin rule: low clears c = max(cutoff, tol) when it is at
+    least 10c and above c."""
+
+    @pytest.mark.parametrize("c", [0.1, 3e-7, 2.5, 1e300, 5e-324])
+    def test_boundary_at_ten_times(self, c):
+        assert clears(10 * c, c)
+        assert not clears(np.nextafter(10 * c, 0), c)
+        assert not clears(c, c)
+
+    def test_zero_cutoff(self):
+        assert clears(5e-324, 0.0)
+        assert not clears(0.0, 0.0)
+        assert not clears(-1.0, 0.0)
+
+    def test_tol_none_below_and_above_the_cutoff(self):
+        assert clears(1.0, 0.1) and clears(1.0, 0.1, None)
+        assert not clears(0.5, 0.1, None)
+        # tol below the cutoff leaves it in charge; above, tol takes over
+        assert clears(1.0, 0.1, 0.01) and not clears(0.5, 0.1, 0.01)
+        assert clears(10.0, 0.1, 1.0) and not clears(np.nextafter(10.0, 0), 0.1, 1.0)
+        assert not clears(1.0, 0.1, 1.0)
+
+    def test_nonfinite(self):
+        assert not clears(float("nan"), 1.0)
+        assert not clears(1.0, float("inf"))
 
 
 class TestPow2Scaled:

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -341,6 +342,24 @@ class TestJointSparseScreen:
         res = recover_joint_sparse(forward(inst), inst.A, 3)
         assert res.status == UNIQUE and res.support == inst.support
         assert len(calls) == 1
+
+    def test_large_units_screen_without_overflow(self, monkeypatch):
+        # A and Y near 1e250: the screen's rounding term must stay finite,
+        # or nothing is ruled out and every cell is solved
+        module = importlib.import_module("bgpc.recover")
+        calls = []
+        monkeypatch.setattr(module, "_solve_gamma",
+                            lambda *a: calls.append(a) or _solve_gamma(*a))
+        inst = random_instance(20, 12, 3, seed=5, sparsity=3)
+        ref = recover_joint_sparse(forward(inst), inst.A, 3)
+        solved = len(calls)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = recover_joint_sparse(forward(inst) * 1e250, inst.A * 1e250, 3)
+        assert (res.status, res.support) == (ref.status, ref.support) == (
+            UNIQUE, inst.support)
+        assert len(calls) == solved
 
 
 class TestOracleAgreement:
