@@ -134,6 +134,110 @@ def recover(Y, A, tol: float | None = None,
                           lam=1.0 / gamma, X=X)
 
 
+def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
+                 bound: float):
+    """Node bounds of the joint-sparse walk from one factorization of the root.
+
+    Returns None when the root does not count. Otherwise returns a function
+    taking a column set K to a lower bound on the computed sigma_n(G_J) of
+    every s-cell J inside K, each G_J formed and factored as in
+    :func:`_solve_gamma`. The root is K = all m columns, with system G.
+    Write c = y_max = sqrt(N) max|Y|: it bounds every row norm of Y, so
+    ||G_J|| <= c, and ||diag(g) Y||_F <= c for every unit vector g.
+
+    The bound, in exact arithmetic. Let v be a unit right singular vector of
+    G for its smallest singular value, so ||G v|| = tau := sigma_n(G) and
+    ||G u|| >= sigma2 := sigma_{n-1}(G) for every unit u orthogonal to v.
+    For J inside K, G = (I_N kron T^H) G_J with T orthonormal (see
+    :func:`recover_joint_sparse`), so ||G_J x|| >= ||G x||. And G_J v
+    stacks the Q_perp,J^H z_j of Z = diag(v) Y, so ||G_J v|| =
+    ||P_perp,J Z||_F >= ||P_perp,K Z||_F =: rho_K. Split Z = A X + R with
+    X = A^+ Z and R orthogonal to range(A). With Kc the columns not in K,
+    P_perp,K Z = P_perp,K A_Kc X_Kc + R: two orthogonal parts, and
+    sigma_min(P_perp,K A_Kc) >= sigma_min(A) (a Schur complement), so
+    rho_K >= sigma_min(A) ||X_Kc||_F. A unit x is a v + b u, u a unit
+    vector orthogonal to v, and
+        ||G_J x|| >= max(|b| sigma2 - |a| tau, |a| rho_K - |b| c),
+    the first from G, the second from G_J. Along the unit circle the first
+    grows with |b| and the second falls; they meet where (|a|, |b|) is
+    proportional to (sigma2 + c, rho_K + tau). So
+        sigma_n(G_J) >= (rho_K sigma2 - c tau)
+                        / sqrt((sigma2 + c)^2 + (rho_K + tau)^2).
+    The right side grows with rho_K, so a lower bound on rho_K may stand in
+    for it, and it never exceeds sigma2. Also sigma_n(G_J) >= tau, which
+    rules out the whole tree when no gamma fits, as the node screen's root
+    would; the bound is the larger of the two.
+
+    Rounding. Each term is a multiple of c, inflated by ``SCREEN_SAFETY``
+    for the constants the backward-error bounds leave out:
+    - q c, q = n eps kappa(A). The computed Q_perp of A lies within about
+      n eps kappa(A) of an exact orthonormal basis of range(A)-perp, so the
+      computed G lies within q c of an exact G (no norm above depends on
+      the basis). So does each cell's computed G_J of its exact one, as
+      kappa(A_J) <= kappa(A).
+    - (q + g) c in sigma2 and tau, g = default_cutoff(G.shape, s_1 / c).
+      The SVD of the computed G is exact for a matrix within g c of it,
+      with singular values s_i and right singular vectors within n eps of
+      the computed ones. With v that matrix's last vector,
+      ||G u|| >= s_(n-1) - (q + g) c, ||G v|| <= s_n + (q + g) c, and
+      sigma_n(G) >= s_n - (q + g) c.
+    - 5q c in rho_K. X is formed as A^+ diag(gamma) Y from A's computed
+      SVD. The computed gamma lies within n eps of v, that SVD's
+      pseudo-inverse is off by about sqrt(2) q / sigma_min(A), and
+      ||Z||_F <= c; the products and row norms add (n + m + 1) eps c. So
+      sigma_min(A) ||X_Kc||_F is within (1 + sqrt(2) + 2) q c of its
+      computed value. And sigma_min(A) >= s_m(A) -
+      default_cutoff(A.shape, s_1(A)), the backward error of A's SVD.
+    - (q + default_cutoff(((n - s) N, n), 1)) c off the bound: a cell's
+      computed sigma_n(G_J) lies within its Q_perp error and its own SVD's
+      rounding of the exact one, with sigma_max(G_J) <= c.
+    Everything is formed divided by c, so nothing overflows at any units
+    of Y.
+
+    The root counts when:
+    - (n - m) N >= n, so every G_J has at least n rows;
+    - (n - m) min(N, s) >= n - 1, certify's count. Under the model Y has
+      at most min(N, s) independent columns, each fixing n - m directions
+      of gamma, so a smaller count leaves G a null space of dimension two
+      or more;
+    - rank(A) = m, clear of its cutoff by the ``SCREEN_SAFETY`` margin;
+    - the bound rules out the set of all columns but the one with the s-th
+      heaviest row of X, and so every set missing one of the s heaviest
+      rows. Then sigma2 clears too, or tau does and no gamma fits at all.
+      When A is nearly rank deficient, sigma_min(A) is small and the root
+      would rule out less than the node screen does.
+    """
+    n, N = Y.shape
+    m = A.shape[1]
+    if (n - m) * N < n or (n - m) * min(N, s) < n - 1:
+        return None
+    U, sA, Vh, _, G = _gamma_system(Y, A)
+    a_err = default_cutoff((n, m), sA[0])
+    if not clears(sA[-1], SCREEN_SAFETY * a_err):
+        return None
+    _, sG, VhG = np.linalg.svd(G, full_matrices=False)
+    q = default_cutoff((n, m), 1.0) * (sA[0] / sA[-1])
+    e = SCREEN_SAFETY * (q + default_cutoff(G.shape, sG[0] / y_max))
+    sigma2 = sG[-2] / y_max - e
+    tau, tau_low = sG[-1] / y_max + e, sG[-1] / y_max - e
+    # sigma_min(A) A^+ diag(gamma) Y / c, from the SVD of A already taken
+    Z = VhG[-1].conj()[:, None] * (Y / y_max)
+    B = Vh.conj().T @ ((U[:, :m].conj().T @ Z) * (sA[-1] / sA)[:, None])
+    rows = (np.linalg.norm(B, axis=1) ** 2).tolist()
+    shrink = 1.0 - a_err / sA[-1]
+    x_err = SCREEN_SAFETY * 5.0 * q
+    cell_err = SCREEN_SAFETY * (q + default_cutoff(((n - s) * N, n), 1.0))
+
+    def low(rows_Kc: float) -> float:
+        rho = shrink * rows_Kc ** 0.5 - x_err
+        h = (rho * sigma2 - tau) / ((sigma2 + 1.0) ** 2 + (rho + tau) ** 2) ** 0.5
+        return y_max * (max(h, tau_low) - cell_err)
+
+    if not clears(low(sorted(rows)[-s]), SCREEN_SAFETY * bound):
+        return None
+    return lambda K: low(sum(w for i, w in enumerate(rows) if i not in K))
+
+
 def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
                          gamma_tol: float = DEFAULT_GAMMA_TOL,
                          max_cells: int = DEFAULT_CELL_BUDGET) -> RecoveryResult:
@@ -154,8 +258,15 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     sqrt(N) max|Y| bounds each row norm of Y and so sigma_max(G_J). If A_K
     has full column rank clear of its cutoff and sigma_n(G_K) clears 10x
     that bound, by a safety factor for the computed Q_perp, every cell
-    inside K has null_dim 0 clear of its cutoff and is skipped. The cells
-    left are solved as in :func:`recover`.
+    inside K has null_dim 0 clear of its cutoff and is skipped.
+
+    That screen takes two SVDs per node. When the whole dictionary's
+    system counts (see :func:`_root_screen`), one SVD of A and one of
+    G_root replace them all: rank(A) = m clear of its cutoff gives every
+    A_J full column rank clear of its own, and a node is ruled out when the
+    root's bound on sigma_n(G_J) over the cells inside K clears 10x the
+    cutoff bound. Otherwise every node takes the two-SVD screen. The
+    cells left are solved as in :func:`recover`.
     """
     Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
@@ -167,10 +278,13 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     check_cell_budget(m, s, max_cells)
     y_max = N ** 0.5 * float(np.max(np.abs(Y)))
     bound = tol if tol is not None else default_cutoff(((n - s) * N, n), y_max)
+    root = _root_screen(Y, A, s, y_max, bound) if bound > 0 and y_max > 0 else None
 
     def ruled_out(K) -> bool:
         if bound <= 0 or (n - len(K)) * N < n:
             return False
+        if root is not None:
+            return clears(root(K), SCREEN_SAFETY * bound)
         _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])  # A_K is n x |K|
         if not clears(sA[-1], SCREEN_SAFETY * default_cutoff((n, len(K)), sA[0])):
             return False

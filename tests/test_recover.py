@@ -10,7 +10,8 @@ from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale, forward,
                   numeric_rank, random_instance, recover, recover_joint_sparse)
 from bgpc.errors import BudgetExceededError, DimensionError
 from bgpc.recover import (DEFAULT_GAMMA_TOL, EQUIVALENCE_TOL, _degenerate,
-                          _gamma_system, _solve_gamma, build_recovery_system)
+                          _gamma_system, _root_screen, _solve_gamma,
+                          build_recovery_system)
 
 
 class TestBuildSystem:
@@ -268,23 +269,60 @@ def solve_every_cell(Y, A, s, tol):
         X[list(J), :] = XJ
         hits.append((J, X, gamma))
     if not hits:
-        return AMBIGUOUS, max_null, None, None
+        return AMBIGUOUS, max_null, None, None, None
     J_ref, X_ref, g_ref = hits[0]
     ref = np.concatenate([X_ref.flatten(order="F"), g_ref])[None, :]
     for _, X, gamma in hits[1:]:
         cand = np.concatenate([X.flatten(order="F"), gamma])[None, :]
         if align_scale(cand, ref).relative_error > EQUIVALENCE_TOL:
-            return AMBIGUOUS, 1, None, None
-    return UNIQUE, 1, tuple(J_ref), X_ref
+            return AMBIGUOUS, 1, None, None, None
+    return UNIQUE, 1, tuple(J_ref), X_ref, g_ref
 
 
 def assert_matches_every_cell(Y, A, s, tol):
-    """recover_joint_sparse agrees with solve_every_cell, X bitwise."""
-    status, null_dim, support, X = solve_every_cell(Y, A, s, tol)
+    """recover_joint_sparse agrees with solve_every_cell, gamma and X bitwise."""
+    status, null_dim, support, X, gamma = solve_every_cell(Y, A, s, tol)
     res = recover_joint_sparse(Y, A, s, tol=tol)
     assert (res.status, res.null_dim, res.support) == (status, null_dim, support)
     assert res.X is None if X is None else res.X.tobytes() == X.tobytes()
+    assert (res.gamma is None if gamma is None
+            else res.gamma.tobytes() == gamma.tobytes())
     return support
+
+
+def near_duplicate(inst, inside: bool, eps: float = 1e-4):
+    """inst's (Y, A) with one column of A moved within eps of another, both
+    columns inside the planted support or both outside it."""
+    cols = [j for j in range(inst.m) if (j in inst.support) == inside][:2]
+    rng = np.random.default_rng(1000)
+    A = inst.A.copy()
+    A[:, cols[1]] = A[:, cols[0]] + eps * (rng.standard_normal(inst.n)
+                                           + 1j * rng.standard_normal(inst.n))
+    return inst.lambda0[:, None] * (A @ inst.X0), A
+
+
+def orthonormal(inst):
+    """inst's (Y, A) with A's columns orthonormalized: kappa(A) = 1."""
+    A = np.linalg.qr(inst.A)[0]
+    return inst.lambda0[:, None] * (A @ inst.X0), A
+
+
+# (Y, A) variants of a planted instance; at (20, 12, 3, 3) the root counts
+# for all of them but near_dup_in, whose A is too close to rank deficient
+ROOT_VARIANTS = {
+    "plain": lambda inst: (forward(inst), inst.A),
+    "noise 1e-14": lambda inst: (forward(inst) + 1e-14, inst.A),
+    "noise 1e-13": lambda inst: (forward(inst) + 1e-13, inst.A),
+    "noise 1e-9": lambda inst: (forward(inst) + 1e-9, inst.A),
+    "orthonormal": orthonormal,
+    "near_dup_in": lambda inst: near_duplicate(inst, inside=True),
+    "near_dup_out": lambda inst: near_duplicate(inst, inside=False),
+    "Y*1e300": lambda inst: (forward(inst) * 1e300, inst.A),
+    "Y*1e-300": lambda inst: (forward(inst) * 1e-300, inst.A),
+    "A*1e250": lambda inst: (forward(inst), inst.A * 1e250),
+    "A*1e-250": lambda inst: (forward(inst), inst.A * 1e-250),
+    "A,Y*1e250": lambda inst: (forward(inst) * 1e250, inst.A * 1e250),
+}
 
 
 class TestJointSparseScreen:
@@ -332,6 +370,34 @@ class TestJointSparseScreen:
         inst = random_instance(n, m, N, seed=seed, sparsity=s)
         assert_matches_every_cell(forward(inst) + noise, inst.A, s, tol)
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("N", [3, 2], ids=["root", "no_root"])
+    @pytest.mark.parametrize("variant", [
+        "plain", "near_dup_in", "near_dup_out", "Y*1e300", "Y*1e-300",
+        "A,Y*1e250"])
+    @pytest.mark.parametrize("tol", [None, 1e-9, 0.0])
+    def test_root_screen_matches_solving_every_cell(self, seed, N, variant, tol):
+        # at N = 2, (n - m) N < n: the root does not count, nodes take the
+        # two-SVD screen
+        inst = random_instance(20, 12, N, seed=seed, sparsity=3)
+        assert_matches_every_cell(*ROOT_VARIANTS[variant](inst), 3, tol)
+
+    @pytest.mark.parametrize("N, svds", [(3, 4), (2, 76)])
+    def test_svd_count(self, monkeypatch, N, svds):
+        # a regression to screening nodes one by one fails here without any
+        # timing: with the root, one SVD of A and one of G_root, then the
+        # planted cell's two; without it (N = 2), the node screen's count
+        module = importlib.import_module("bgpc.recover")
+        svd, calls, solved = np.linalg.svd, [], []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(a) or svd(*a, **k))
+        monkeypatch.setattr(module, "_solve_gamma",
+                            lambda *a: solved.append(a) or _solve_gamma(*a))
+        inst = random_instance(20, 12, N, seed=5, sparsity=3)
+        res = recover_joint_sparse(forward(inst), inst.A, 3)
+        assert res.status == UNIQUE and res.support == inst.support
+        assert (len(calls), len(solved)) == (svds, 1)
+
     def test_only_the_planted_cell_is_solved(self, monkeypatch):
         # a regression to solving every cell fails here without any timing
         module = importlib.import_module("bgpc.recover")
@@ -362,6 +428,49 @@ class TestJointSparseScreen:
         assert len(calls) == solved
 
 
+class TestRootBound:
+    """The root's node bound, over every column set K: never above the
+    computed sigma_n(G_J) of a cell inside K, and never above the same
+    bound formed from rho_K = ||P_perp,K diag(gamma) Y||_F projected
+    directly, with no rounding terms."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(12, 8, 3, 3), (10, 5, 2, 2)])
+    @pytest.mark.parametrize("variant", [
+        v for v in ROOT_VARIANTS if v != "near_dup_in"])
+    def test_bound_below_every_cell(self, seed, shape, variant):
+        # the noise 1e-14 and 1e-13 is about the cells' cutoff
+        # max((n-s)N, n) eps c, c ~ 10; with orthonormal columns of A the
+        # Schur complement step is tight
+        n, m, s, N = shape
+        inst = random_instance(n, m, N, seed=seed, sparsity=s)
+        Y, A = ROOT_VARIANTS[variant](inst)
+        c = N ** 0.5 * float(np.max(np.abs(Y)))
+        node_low = _root_screen(Y, A, s, c, 0.0)
+        assert node_low is not None
+        sigma_n = {}
+        for J in combinations(range(m), s):
+            *_, r, G = _gamma_system(Y, A[:, list(J)])
+            assert r == s
+            sigma_n[J] = np.linalg.svd(G, full_matrices=True)[1][-1]
+        # the bound in units of c, from the root's SVD and a QR per node
+        *_, G = _gamma_system(Y, A)
+        _, sG, VhG = np.linalg.svd(G, full_matrices=False)
+        sigma2, tau = sG[-2] / c, sG[-1] / c
+        Z = VhG[-1].conj()[:, None] * (Y / c)
+        ruled_out = 0
+        for k in range(s, m + 1):
+            for K in combinations(range(m), k):
+                low = node_low(K)
+                assert low <= min(v for J, v in sigma_n.items() if set(J) <= set(K))
+                Q = np.linalg.qr(A[:, list(K)])[0]
+                rho = np.linalg.norm(Z - Q @ (Q.conj().T @ Z))
+                h = (rho * sigma2 - tau) / np.hypot(sigma2 + 1.0, rho + tau)
+                assert low <= c * max(h, tau)
+                ruled_out += low > 0
+        assert ruled_out > 0
+
+
 class TestOracleAgreement:
     def test_certificate_matches_recovery(self):
         from bgpc import IDENTIFIABLE, certify_subspace
@@ -381,3 +490,34 @@ class TestOracleAgreement:
             assert (rep.verdict == IDENTIFIABLE) == unique_null
             agree += 1
         assert agree == 60
+
+    def test_joint_sparse_certificate_implies_recovery(self):
+        # one way only: recovery's cells are s-subsets, while the certificate
+        # asks full rank of every union of up to 2s columns
+        from bgpc import IDENTIFIABLE, certify_joint_sparse
+        rng = np.random.default_rng(18)
+        certified = 0
+        for _ in range(60):
+            n = int(rng.integers(7, 15))
+            s = int(rng.integers(1, (n - 1) // 2 + 1))
+            m = int(rng.integers(s, min(n, 10) + 1))
+            N = int(rng.integers(2, 5))
+            inst = random_instance(n, m, N, seed=int(rng.integers(1 << 31)),
+                                   sparsity=s)
+            rep = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, s)
+            if rep.verdict == IDENTIFIABLE:
+                res = recover_joint_sparse(forward(inst), inst.A, s)
+                assert (res.status, res.support) == (UNIQUE, inst.support)
+                certified += 1
+        assert certified >= 30
+
+    def test_joint_sparse_recovery_without_certificate(self):
+        # the converse fails: a union J0 u J1 of 12 columns gathers
+        # |J| N = 36 columns of S over 1 + n(N - 1) = 33 rows, so no such
+        # cell can pass, yet the planted support is the only s-cell that fits
+        from bgpc import NOT_CERTIFIED, certify_joint_sparse
+        inst = random_instance(16, 12, 3, seed=0, sparsity=7)
+        rep = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 7)
+        res = recover_joint_sparse(forward(inst), inst.A, 7)
+        assert rep.verdict == NOT_CERTIFIED
+        assert (res.status, res.support) == (UNIQUE, inst.support)
