@@ -37,7 +37,7 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D, got ndim={M.ndim}")
     if M.size == 0:
         raise DimensionError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 

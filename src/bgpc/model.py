@@ -41,7 +41,7 @@ class BGPCInstance:
         if self.X0.shape != (self.m, self.N):
             raise DimensionError("X0 must be m x N")
         for arr in (self.lambda0, self.X0, self.A):
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+            if not np.isfinite(arr).all():
                 raise ValueError("instance entries must be finite")
         if self.support is not None:
             sup = tuple(sorted(self.support))

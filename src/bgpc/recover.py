@@ -99,7 +99,8 @@ def _solve_gamma(Y: np.ndarray, A: np.ndarray, tol: float | None):
     n, N = Y.shape
     m = A.shape[1]
     U, sA, Vh, r, G = _gamma_system(Y, A)
-    _, sG, VhG = np.linalg.svd(G, full_matrices=True)
+    # the full V is needed only when G is wide; the full U never is
+    _, sG, VhG = np.linalg.svd(G, full_matrices=G.shape[0] < n)
     rr = rank_decision(sG, G.shape, tol)
     null_dim = n - rr.numeric_rank + N * (m - r)
     if null_dim != 1 or rr.marginal:
@@ -136,12 +137,16 @@ def recover(Y, A, tol: float | None = None,
 
 def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
                  bound: float):
-    """Node bounds of the joint-sparse walk from one factorization of the root.
+    """Cell bounds of the joint-sparse search from one factorization of the root.
 
-    Returns None when the root does not count. Otherwise returns a function
-    taking a column set K to a lower bound on the computed sigma_n(G_J) of
-    every s-cell J inside K, each G_J formed and factored as in
-    :func:`_solve_gamma`. The root is K = all m columns, with system G.
+    Returns (sA, sG, screen): the singular values of A and of the root's
+    system G, each None when not taken (G's are taken whenever rank(A) = m
+    clears its cutoff), and screen, None when the root does not count.
+    Otherwise screen = (rows, low): rows[i] = ||B_i||^2 for the rows of
+    B = sigma_min(A) X / c below, and low maps the weight outside a column
+    set K, the sum of rows[i] over i not in K, to a lower bound on the
+    computed sigma_n(G_J) of every s-cell J inside K, each G_J formed and
+    factored as in :func:`_solve_gamma`. The root is K = all m columns.
     Write c = y_max = sqrt(N) max|Y|: it bounds every row norm of Y, so
     ||G_J|| <= c, and ||diag(g) Y||_F <= c for every unit vector g.
 
@@ -201,20 +206,27 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
       of gamma, so a smaller count leaves G a null space of dimension two
       or more;
     - rank(A) = m, clear of its cutoff by the ``SCREEN_SAFETY`` margin;
-    - the bound rules out the set of all columns but the one with the s-th
-      heaviest row of X, and so every set missing one of the s heaviest
-      rows. Then sigma2 clears too, or tau does and no gamma fits at all.
-      When A is nearly rank deficient, sigma_min(A) is small and the root
-      would rule out less than the node screen does.
+    - low(w_s) clears, w_s the s-th largest weight. Then sigma2 clears
+      too, or tau does and no gamma fits at all. When A is nearly rank
+      deficient, sigma_min(A) is small and the root would rule out less
+      than the node screen does.
+
+    The heavy cell. Let J* be the rows of weight >= w_s; it has at least s
+    of them. A column set K that misses a row i of J* leaves weight
+    >= w_i >= w_s outside it, and low grows with that weight, so
+    low(w_s) bounds every cell inside K. When the root counts, every cell
+    that misses a row of J* is ruled out: all cells when |J*| > s, and all
+    but J* itself when |J*| = s. J* is then ruled out by low of the
+    weight outside it, or left as the only cell to solve.
     """
     n, N = Y.shape
     m = A.shape[1]
     if (n - m) * N < n or (n - m) * min(N, s) < n - 1:
-        return None
+        return None, None, None
     U, sA, Vh, _, G = _gamma_system(Y, A)
     a_err = default_cutoff((n, m), sA[0])
     if not clears(sA[-1], SCREEN_SAFETY * a_err):
-        return None
+        return sA, None, None
     _, sG, VhG = np.linalg.svd(G, full_matrices=False)
     q = default_cutoff((n, m), 1.0) * (sA[0] / sA[-1])
     e = SCREEN_SAFETY * (q + default_cutoff(G.shape, sG[0] / y_max))
@@ -234,8 +246,8 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
         return y_max * (max(h, tau_low) - cell_err)
 
     if not clears(low(sorted(rows)[-s]), SCREEN_SAFETY * bound):
-        return None
-    return lambda K: low(sum(w for i, w in enumerate(rows) if i not in K))
+        return sA, sG, None
+    return sA, sG, (rows, low)
 
 
 def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
@@ -261,12 +273,16 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     inside K has null_dim 0 clear of its cutoff and is skipped.
 
     That screen takes two SVDs per node. When the whole dictionary's
-    system counts (see :func:`_root_screen`), one SVD of A and one of
-    G_root replace them all: rank(A) = m clear of its cutoff gives every
-    A_J full column rank clear of its own, and a node is ruled out when the
-    root's bound on sigma_n(G_J) over the cells inside K clears 10x the
-    cutoff bound. Otherwise every node takes the two-SVD screen. The
-    cells left are solved as in :func:`recover`.
+    system counts (see :func:`_root_screen`), there is no walk: one SVD of
+    A and one of G_root rule out every cell that misses a row of the heavy
+    cell J*, the rows of the root's X at least as heavy as its s-th
+    heaviest. rank(A) = m clear of its cutoff gives every A_J full column
+    rank clear of its own. So when J* has more than s rows no cell is
+    left, and otherwise J* is solved unless the root's bound on
+    sigma_n(G_J*) clears 10x the cutoff bound. When the root does not
+    count, every node takes the two-SVD screen; the node of all m columns
+    reuses the SVDs the root took before it declined. The cells left are
+    solved as in :func:`recover`.
     """
     Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
@@ -278,25 +294,37 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     check_cell_budget(m, s, max_cells)
     y_max = N ** 0.5 * float(np.max(np.abs(Y)))
     bound = tol if tol is not None else default_cutoff(((n - s) * N, n), y_max)
-    root = _root_screen(Y, A, s, y_max, bound) if bound > 0 and y_max > 0 else None
+    sA_root, sG_root, root = (_root_screen(Y, A, s, y_max, bound)
+                              if bound > 0 and y_max > 0 else (None, None, None))
 
     def ruled_out(K) -> bool:
         if bound <= 0 or (n - len(K)) * N < n:
             return False
-        if root is not None:
-            return clears(root(K), SCREEN_SAFETY * bound)
-        _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])  # A_K is n x |K|
+        if len(K) == m and sA_root is not None:
+            sA, G = sA_root, None  # the root took sG_root if A clears
+        else:
+            _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])  # A_K is n x |K|
         if not clears(sA[-1], SCREEN_SAFETY * default_cutoff((n, len(K)), sA[0])):
             return False
         q_err = default_cutoff((n, len(K)), y_max) * (sA[0] / sA[-1])  # <= y_max / 40
-        sG = np.linalg.svd(G, compute_uv=False)  # n values: G has >= n rows
+        # n values: G has >= n rows
+        sG = sG_root if G is None else np.linalg.svd(G, compute_uv=False)
         return clears(sG[-1] - SCREEN_SAFETY * q_err, SCREEN_SAFETY * bound)
 
+    if root is not None:
+        # every cell that misses a row of heavy is ruled out (the heavy cell
+        # in _root_screen), so heavy is the only cell that can be left
+        rows, low = root
+        w_s = sorted(rows)[-s]
+        heavy = tuple(i for i, w in enumerate(rows) if w >= w_s)
+        left = len(heavy) == s and not clears(
+            low(sum(w for w in rows if w < w_s)), SCREEN_SAFETY * bound)
+        cells = [heavy] if left else []
+    else:
+        cells = (J for J in support_cells(m, s, ruled_out) if not ruled_out(J))
     hits = []
     max_null = 0
-    for J in support_cells(m, s, ruled_out):
-        if ruled_out(J):
-            continue
+    for J in cells:
         null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
         max_null = max(max_null, null_dim)
         if gamma is None or _degenerate(gamma, gamma_tol):

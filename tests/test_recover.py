@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale, forward,
                   numeric_rank, random_instance, recover, recover_joint_sparse)
+from bgpc.cxmat import SCREEN_SAFETY, clears, default_cutoff
 from bgpc.errors import BudgetExceededError, DimensionError
 from bgpc.recover import (DEFAULT_GAMMA_TOL, EQUIVALENCE_TOL, _degenerate,
                           _gamma_system, _root_screen, _solve_gamma,
@@ -325,6 +326,21 @@ ROOT_VARIANTS = {
 }
 
 
+# (Y, A, tol) variants of a planted instance at (20, 12, 3, 3) whose root is
+# tried and declined: A's rank is not clear (an exact duplicate), or the
+# bound rules out too little (near-duplicates, Y too small for tol)
+DECLINED_ROOT_VARIANTS = {
+    "exact_dup_in": lambda inst: (*near_duplicate(inst, True, 0.0), None),
+    "exact_dup_out": lambda inst: (*near_duplicate(inst, False, 0.0), None),
+    "near_dup_1e-12_in": lambda inst: (*near_duplicate(inst, True, 1e-12), None),
+    "near_dup_1e-12_out": lambda inst: (*near_duplicate(inst, False, 1e-12), None),
+    "near_dup_1e-8_in": lambda inst: (*near_duplicate(inst, True, 1e-8), None),
+    "near_dup_1e-8_out": lambda inst: (*near_duplicate(inst, False, 1e-8), None),
+    "near_dup_1e-4_in": lambda inst: (*near_duplicate(inst, True), None),
+    "Y*1e-300, tol 1e-9": lambda inst: (forward(inst) * 1e-300, inst.A, 1e-9),
+}
+
+
 class TestJointSparseScreen:
     """Cells ruled out from singular values alone change no result.
 
@@ -398,6 +414,89 @@ class TestJointSparseScreen:
         assert res.status == UNIQUE and res.support == inst.support
         assert (len(calls), len(solved)) == (svds, 1)
 
+    @pytest.mark.parametrize("variant", list(DECLINED_ROOT_VARIANTS))
+    def test_declined_root_costs_no_svd(self, monkeypatch, variant):
+        # the root factors A, and G when A clears, before it declines; the
+        # node screen's test of all m columns reuses those SVDs, so the call
+        # takes the node screen's own count
+        module = importlib.import_module("bgpc.recover")
+        inst = random_instance(20, 12, 3, seed=1, sparsity=3)
+        Y, A, tol = DECLINED_ROOT_VARIANTS[variant](inst)
+        c = 3 ** 0.5 * float(np.max(np.abs(Y)))
+        bound = tol or default_cutoff(((20 - 3) * 3, 20), c)
+        sA, _, screen = _root_screen(Y, A, 3, c, bound)
+        assert sA is not None and screen is None
+
+        def run():
+            svd, calls = np.linalg.svd, []
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "svd",
+                           lambda *a, **k: calls.append(a) or svd(*a, **k))
+                res = recover_joint_sparse(Y, A, 3, tol=tol)
+            return res, len(calls)
+
+        res, svds = run()
+        monkeypatch.setattr(module, "_root_screen", lambda *a: (None, None, None))
+        node_res, node_svds = run()
+        assert svds == node_svds
+        assert (res.status, res.null_dim, res.support) == (
+            node_res.status, node_res.null_dim, node_res.support)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("variant", [v for v in ROOT_VARIANTS if v != "near_dup_in"])
+    def test_root_solves_only_the_heavy_cell(self, monkeypatch, seed, variant):
+        # when the root counts there is no walk: every cell that misses one
+        # of the s heaviest rows of the root's X is ruled out at once
+        module = importlib.import_module("bgpc.recover")
+
+        def no_walk(*args):
+            raise AssertionError("support_cells called although the root counts")
+
+        solved = []
+        monkeypatch.setattr(module, "support_cells", no_walk)
+        monkeypatch.setattr(module, "_solve_gamma",
+                            lambda *a: solved.append(a) or _solve_gamma(*a))
+        inst = random_instance(20, 12, 3, seed=seed, sparsity=3)
+        Y, A = ROOT_VARIANTS[variant](inst)
+        rows, _ = _root_screen(Y, A, 3, 3 ** 0.5 * float(np.max(np.abs(Y))), 0.0)[2]
+        heavy = tuple(i for i, w in enumerate(rows) if w >= sorted(rows)[-3])
+        res = recover_joint_sparse(Y, A, 3)
+        if variant == "noise 1e-9":
+            # no gamma fits: J* is ruled out too
+            assert (res.status, res.null_dim, solved) == (AMBIGUOUS, 0, [])
+            return
+        assert heavy == inst.support
+        assert [a[1].tobytes() for a in solved] == [A[:, list(heavy)].tobytes()]
+        if variant != "noise 1e-13":  # there the planted cell is marginal
+            assert (res.status, res.support) == (UNIQUE, heavy)
+
+    def test_tie_at_the_s_th_weight_solves_no_cell(self, monkeypatch):
+        # s + 1 rows at or above w_s: every s-cell misses one of them, so
+        # every cell is ruled out, as the leaf test of each would find
+        module = importlib.import_module("bgpc.recover")
+        real = module._root_screen
+
+        seen, solved = [], []
+
+        def tied(Y, A, s, y_max, bound):
+            sA, sG, (rows, low) = real(Y, A, s, y_max, bound)
+            order = np.argsort(rows)
+            rows = list(rows)
+            rows[order[-s - 1]] = rows[order[-s]]
+            seen.append((rows, low, bound))
+            return sA, sG, (rows, low)
+
+        monkeypatch.setattr(module, "_root_screen", tied)
+        monkeypatch.setattr(module, "_solve_gamma",
+                            lambda *a: solved.append(a) or _solve_gamma(*a))
+        inst = random_instance(20, 12, 3, seed=5, sparsity=3)
+        res = recover_joint_sparse(forward(inst), inst.A, 3)
+        assert (res.status, res.null_dim, solved) == (AMBIGUOUS, 0, [])
+        [(rows, low, bound)] = seen
+        assert all(clears(low(sum(w for i, w in enumerate(rows) if i not in J)),
+                          SCREEN_SAFETY * bound)
+                   for J in combinations(range(12), 3))
+
     def test_only_the_planted_cell_is_solved(self, monkeypatch):
         # a regression to solving every cell fails here without any timing
         module = importlib.import_module("bgpc.recover")
@@ -432,7 +531,8 @@ class TestRootBound:
     """The root's node bound, over every column set K: never above the
     computed sigma_n(G_J) of a cell inside K, and never above the same
     bound formed from rho_K = ||P_perp,K diag(gamma) Y||_F projected
-    directly, with no rounding terms."""
+    directly, with no rounding terms. Its value at the s-th heaviest row
+    weight is never above sigma_n(G_J) of a cell missing a heavy row."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("shape", [(12, 8, 3, 3), (10, 5, 2, 2)])
@@ -446,8 +546,11 @@ class TestRootBound:
         inst = random_instance(n, m, N, seed=seed, sparsity=s)
         Y, A = ROOT_VARIANTS[variant](inst)
         c = N ** 0.5 * float(np.max(np.abs(Y)))
-        node_low = _root_screen(Y, A, s, c, 0.0)
-        assert node_low is not None
+        rows, low_of_weight = _root_screen(Y, A, s, c, 0.0)[2]
+
+        def node_low(K):
+            return low_of_weight(sum(w for i, w in enumerate(rows) if i not in K))
+
         sigma_n = {}
         for J in combinations(range(m), s):
             *_, r, G = _gamma_system(Y, A[:, list(J)])
@@ -469,6 +572,12 @@ class TestRootBound:
                 assert low <= c * max(h, tau)
                 ruled_out += low > 0
         assert ruled_out > 0
+        # the heavy-cell step: low(w_s) bounds every cell that misses one of
+        # the rows at least as heavy as the s-th heaviest
+        w_s = sorted(rows)[-s]
+        heavy = {i for i, w in enumerate(rows) if w >= w_s}
+        missing = [v for J, v in sigma_n.items() if not heavy <= set(J)]
+        assert 0 < low_of_weight(w_s) <= min(missing)
 
 
 class TestOracleAgreement:
