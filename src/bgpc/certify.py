@@ -365,17 +365,17 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
 
     J0_clear = None  # asked once, after the first factored node that is not clear
 
-    def ruled_out(K):
+    def screen(K):  # () when every cell inside K passes, else None
         nonlocal J0_clear
         if J0_clear is False or (n - len(J0.union(K))) * min(N, s) < n - 1:
-            return False
+            return None
         ok = clear(*cell(K))
         if not ok and J0_clear is None:
             J0_clear = clear(*cell(()))
-        return ok
+        return () if ok else None
 
     failing = J1 = None
-    for J1 in support_cells(m, s, ruled_out):
+    for J1 in support_cells(m, s, screen):
         J, rr = cell(J1)
         if rr.numeric_rank != len(J) * N:
             failing = J1

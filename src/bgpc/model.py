@@ -130,19 +130,24 @@ def check_cell_budget(m: int, s: int, max_cells: int) -> None:
             f"support enumeration needs {n_cells} cells, budget is {max_cells}")
 
 
-def support_cells(m: int, s: int, ruled_out):
-    """The s-subsets of range(m) as tuples, in lexicographic order, less the
-    subtrees ruled out whole: below a node with chosen columns ``prefix``
-    and next column j lie the cells inside K = prefix + (j..m-1), skipped
-    when ``ruled_out(K)``. The caller decides each cell yielded."""
+def support_cells(m: int, s: int, screen):
+    """The s-subsets of range(m) as tuples, in lexicographic order, less
+    those a screen rules out. Below a node with chosen columns ``prefix``
+    and next column j lie the cells inside K = prefix + (j..m-1) that hold
+    prefix. ``screen(K)`` returns None to descend, or the cells inside K
+    still left; the walk yields those that hold prefix and skips the rest
+    of K. The caller decides each cell yielded."""
     def walk(prefix, start):
         if len(prefix) == s:
             yield prefix
             return
         for j in range(start, m - s + len(prefix) + 1):
-            # K shrinks as j grows, so the first K ruled out ends the loop;
-            # at j = start it is the caller's own K
-            if (j > start or not prefix) and ruled_out(prefix + tuple(range(j, m))):
+            # K shrinks as j grows, so the first K decided ends the loop; at
+            # j = start it is the caller's own K, already screened
+            left = (screen(prefix + tuple(range(j, m)))
+                    if j > start or not prefix else None)
+            if left is not None:
+                yield from (J for J in sorted(left) if J[:len(prefix)] == prefix)
                 return
             yield from walk(prefix + (j,), j + 1)
     return walk((), 0)

@@ -137,24 +137,25 @@ def recover(Y, A, tol: float | None = None,
 
 def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
                  bound: float):
-    """Cell bounds of the joint-sparse search from one factorization of the root.
+    """Cell bounds of the joint-sparse search from one factorization of A.
 
-    Returns (sA, sG, screen): the singular values of A and of the root's
-    system G, each None when not taken (G's are taken whenever rank(A) = m
-    clears its cutoff), and screen, None when the root does not count.
-    Otherwise screen = (rows, low): rows[i] = ||B_i||^2 for the rows of
-    B = sigma_min(A) X / c below, and low maps the weight outside a column
-    set K, the sum of rows[i] over i not in K, to a lower bound on the
-    computed sigma_n(G_J) of every s-cell J inside K, each G_J formed and
-    factored as in :func:`_solve_gamma`. The root is K = all m columns.
+    A is the dictionary of one node of the walk, the node's columns of the
+    whole dictionary, and the root of its own search. Returns None when A
+    does not count (below); otherwise (rows, low): rows[i] = ||B_i||^2 for
+    the rows of B = sigma_min(A) X / c below, and low maps the weight
+    outside a column set K of A, the sum of rows[i] over i not in K, to a
+    lower bound on the computed sigma_n(G_J) of every s-cell J inside K,
+    each G_J formed and factored as in :func:`_solve_gamma`. K = all m
+    columns of A is the node itself.
     Write c = y_max = sqrt(N) max|Y|: it bounds every row norm of Y, so
     ||G_J|| <= c, and ||diag(g) Y||_F <= c for every unit vector g.
 
     The bound, in exact arithmetic. Let v be a unit right singular vector of
     G for its smallest singular value, so ||G v|| = tau := sigma_n(G) and
     ||G u|| >= sigma2 := sigma_{n-1}(G) for every unit u orthogonal to v.
-    For J inside K, G = (I_N kron T^H) G_J with T orthonormal (see
-    :func:`recover_joint_sparse`), so ||G_J x|| >= ||G x||. And G_J v
+    For J inside A's columns, range(A_J) lies in range(A), so Q_perp =
+    Q_perp,J T with T orthonormal, G = (I_N kron T^H) G_J, and
+    ||G_J x|| >= ||G x||. And G_J v
     stacks the Q_perp,J^H z_j of Z = diag(v) Y, so ||G_J v|| =
     ||P_perp,J Z||_F >= ||P_perp,K Z||_F =: rho_K. Split Z = A X + R with
     X = A^+ Z and R orthogonal to range(A). With Kc the columns not in K,
@@ -170,8 +171,8 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
                         / sqrt((sigma2 + c)^2 + (rho_K + tau)^2).
     The right side grows with rho_K, so a lower bound on rho_K may stand in
     for it, and it never exceeds sigma2. Also sigma_n(G_J) >= tau, which
-    rules out the whole tree when no gamma fits, as the node screen's root
-    would; the bound is the larger of the two.
+    rules out every cell when no gamma fits; the bound is the larger of the
+    two.
 
     Rounding. Each term is a multiple of c, inflated by ``SCREEN_SAFETY``
     for the constants the backward-error bounds leave out:
@@ -199,22 +200,24 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
     Everything is formed divided by c, so nothing overflows at any units
     of Y.
 
-    The root counts when:
+    A counts when:
     - (n - m) N >= n, so every G_J has at least n rows;
     - (n - m) min(N, s) >= n - 1, certify's count. Under the model Y has
       at most min(N, s) independent columns, each fixing n - m directions
       of gamma, so a smaller count leaves G a null space of dimension two
-      or more;
+      or more. Off the model G may still have full rank, and tau alone
+      would rule out every cell; such a node is passed over unfactored
+      all the same, since on the model its two SVDs would be wasted;
     - rank(A) = m, clear of its cutoff by the ``SCREEN_SAFETY`` margin;
     - low(w_s) clears, w_s the s-th largest weight. Then sigma2 clears
       too, or tau does and no gamma fits at all. When A is nearly rank
-      deficient, sigma_min(A) is small and the root would rule out less
-      than the node screen does.
+      deficient, sigma_min(A) is small and the bound rules out little;
+      the walk then descends to nodes of fewer columns.
 
     The heavy cell. Let J* be the rows of weight >= w_s; it has at least s
     of them. A column set K that misses a row i of J* leaves weight
     >= w_i >= w_s outside it, and low grows with that weight, so
-    low(w_s) bounds every cell inside K. When the root counts, every cell
+    low(w_s) bounds every cell inside K. When A counts, every cell
     that misses a row of J* is ruled out: all cells when |J*| > s, and all
     but J* itself when |J*| = s. J* is then ruled out by low of the
     weight outside it, or left as the only cell to solve.
@@ -222,11 +225,11 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
     n, N = Y.shape
     m = A.shape[1]
     if (n - m) * N < n or (n - m) * min(N, s) < n - 1:
-        return None, None, None
+        return None
     U, sA, Vh, _, G = _gamma_system(Y, A)
     a_err = default_cutoff((n, m), sA[0])
     if not clears(sA[-1], SCREEN_SAFETY * a_err):
-        return sA, None, None
+        return None
     _, sG, VhG = np.linalg.svd(G, full_matrices=False)
     q = default_cutoff((n, m), 1.0) * (sA[0] / sA[-1])
     e = SCREEN_SAFETY * (q + default_cutoff(G.shape, sG[0] / y_max))
@@ -246,8 +249,8 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
         return y_max * (max(h, tau_low) - cell_err)
 
     if not clears(low(sorted(rows)[-s]), SCREEN_SAFETY * bound):
-        return sA, sG, None
-    return sA, sG, (rows, low)
+        return None
+    return rows, low
 
 
 def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
@@ -261,28 +264,21 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     requires all kept supports to yield scale-equivalent solutions; the
     reported support is the first (lexicographically minimal) passing one.
 
-    The cells come from :func:`bgpc.model.support_cells`, which skips every
-    subtree whose column set K is ruled out; each cell J it yields is
-    tested the same way, as K = J. For J inside K, range(A_J) lies in
-    range(A_K), so Q_perp,K = Q_perp,J T with T orthonormal:
-    G_K = (I_N kron T^H) G_J, so sigma_n(G_J) >= sigma_n(G_K). Every cell's
-    cutoff is at most ``tol`` or max((n-s)N, n) eps sqrt(N) max|Y|, since
-    sqrt(N) max|Y| bounds each row norm of Y and so sigma_max(G_J). If A_K
-    has full column rank clear of its cutoff and sigma_n(G_K) clears 10x
-    that bound, by a safety factor for the computed Q_perp, every cell
-    inside K has null_dim 0 clear of its cutoff and is skipped.
-
-    That screen takes two SVDs per node. When the whole dictionary's
-    system counts (see :func:`_root_screen`), there is no walk: one SVD of
-    A and one of G_root rule out every cell that misses a row of the heavy
-    cell J*, the rows of the root's X at least as heavy as its s-th
-    heaviest. rank(A) = m clear of its cutoff gives every A_J full column
-    rank clear of its own. So when J* has more than s rows no cell is
-    left, and otherwise J* is solved unless the root's bound on
-    sigma_n(G_J*) clears 10x the cutoff bound. When the root does not
-    count, every node takes the two-SVD screen; the node of all m columns
-    reuses the SVDs the root took before it declined. The cells left are
-    solved as in :func:`recover`.
+    The cells come from :func:`bgpc.model.support_cells`. Each node K of
+    its walk, the root of all m columns first, is screened by
+    :func:`_root_screen` of A[:, K]: one SVD of A_K and one of its system
+    G_K. Every cell's cutoff is at most ``tol`` or max((n-s)N, n) eps
+    sqrt(N) max|Y|, since sqrt(N) max|Y| bounds each row norm of Y and so
+    sigma_max(G_J). When K counts, its bound clears 10x that cutoff bound
+    for every cell inside K that misses a row of the heavy cell J*, the
+    rows of A_K's X at least as heavy as its s-th heaviest, and
+    rank(A_K) = |K| clear of its cutoff gives every A_J full column rank
+    clear of its own: those cells have null_dim 0. So no cell inside K is
+    left when J* has more than s rows, and otherwise only J*, unless its
+    own bound clears too. A node that does not count is descended. Above
+    the sample complexity the root counts at a generic instance, and the
+    planted support is the only cell solved. The cells left are solved as
+    in :func:`recover`.
     """
     Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
@@ -294,37 +290,23 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     check_cell_budget(m, s, max_cells)
     y_max = N ** 0.5 * float(np.max(np.abs(Y)))
     bound = tol if tol is not None else default_cutoff(((n - s) * N, n), y_max)
-    sA_root, sG_root, root = (_root_screen(Y, A, s, y_max, bound)
-                              if bound > 0 and y_max > 0 else (None, None, None))
 
-    def ruled_out(K) -> bool:
-        if bound <= 0 or (n - len(K)) * N < n:
-            return False
-        if len(K) == m and sA_root is not None:
-            sA, G = sA_root, None  # the root took sG_root if A clears
-        else:
-            _, sA, _, _, G = _gamma_system(Y, A[:, list(K)])  # A_K is n x |K|
-        if not clears(sA[-1], SCREEN_SAFETY * default_cutoff((n, len(K)), sA[0])):
-            return False
-        q_err = default_cutoff((n, len(K)), y_max) * (sA[0] / sA[-1])  # <= y_max / 40
-        # n values: G has >= n rows
-        sG = sG_root if G is None else np.linalg.svd(G, compute_uv=False)
-        return clears(sG[-1] - SCREEN_SAFETY * q_err, SCREEN_SAFETY * bound)
-
-    if root is not None:
-        # every cell that misses a row of heavy is ruled out (the heavy cell
-        # in _root_screen), so heavy is the only cell that can be left
-        rows, low = root
+    def screen(K):  # None to descend, or the cells inside K left by its bound
+        found = (_root_screen(Y, A[:, list(K)], s, y_max, bound)
+                 if bound > 0 and y_max > 0 else None)
+        if found is None:
+            return None
+        rows, low = found
         w_s = sorted(rows)[-s]
-        heavy = tuple(i for i, w in enumerate(rows) if w >= w_s)
-        left = len(heavy) == s and not clears(
-            low(sum(w for w in rows if w < w_s)), SCREEN_SAFETY * bound)
-        cells = [heavy] if left else []
-    else:
-        cells = (J for J in support_cells(m, s, ruled_out) if not ruled_out(J))
+        heavy = tuple(K[i] for i, w in enumerate(rows) if w >= w_s)
+        if len(heavy) > s or clears(low(sum(w for w in rows if w < w_s)),
+                                    SCREEN_SAFETY * bound):
+            return ()
+        return (heavy,)
+
     hits = []
     max_null = 0
-    for J in cells:
+    for J in support_cells(m, s, screen):
         null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
         max_null = max(max_null, null_dim)
         if gamma is None or _degenerate(gamma, gamma_tol):

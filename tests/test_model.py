@@ -195,7 +195,7 @@ class TestSupportCells:
     def test_nothing_ruled_out_yields_every_cell(self, shape):
         m, s = shape
         asked = []
-        cells = list(support_cells(m, s, lambda K: asked.append(K) or False))
+        cells = list(support_cells(m, s, asked.append))  # always None: descend
         assert cells == list(combinations(range(m), s))
         # each superset is asked once, and it is a prefix plus a full tail
         assert len(asked) == len(set(asked))
@@ -213,15 +213,50 @@ class TestSupportCells:
         good = set(np.flatnonzero(rng.random(m) < p).tolist())
         answers = {}
 
-        def ruled_out(K):
+        def screen(K):
             assert K not in answers
             answers[K] = set(K) <= good if monotone else bool(rng.random() < p)
-            return answers[K]
+            return () if answers[K] else None
 
-        cells = list(support_cells(m, s, ruled_out))
+        cells = list(support_cells(m, s, screen))
         every = list(combinations(range(m), s))
         walked = set(cells)
         assert cells == [J for J in every if J in walked]  # a subsequence
         ruled = [set(K) for K, out in answers.items() if out]
         for J in set(every) - walked:
             assert any(set(J) <= K for K in ruled)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(shape=walk_shapes(), seed=st.integers(0, 2 ** 31 - 1),
+           p=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+           q=st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    def test_decided_nodes_leave_their_cells(self, shape, seed, p, q):
+        # a fixed random set of cells is left; each K is decided or not by a
+        # fixed random draw, and a decided K returns every left cell inside
+        # it, those that lack the node's prefix too
+        m, s = shape
+        every = list(combinations(range(m), s))
+        rng = np.random.default_rng(seed)
+        left = {J for J in every if rng.random() < q}
+
+        def decided(K):
+            return np.random.default_rng([seed, len(K), *K]).random() < p
+
+        asked = []
+
+        def screen(K):
+            asked.append(K)
+            if not decided(K):
+                return None
+            return [J for J in every[::-1] if J in left and set(J) <= set(K)]
+
+        def covered(J):
+            # the walk passes J's nodes prefix J[:i] with next column
+            # j <= J[i]; j = J[i - 1] + 1 is the parent's own K, not asked
+            return any(decided(J[:i] + tuple(range(j, m)))
+                       for i in range(s)
+                       for j in range(J[i - 1] + 2 if i else 0, J[i] + 1))
+
+        cells = list(support_cells(m, s, screen))
+        assert cells == [J for J in every if J in left or not covered(J)]
+        assert len(asked) == len(set(asked))

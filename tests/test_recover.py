@@ -393,74 +393,58 @@ class TestJointSparseScreen:
         "A,Y*1e250"])
     @pytest.mark.parametrize("tol", [None, 1e-9, 0.0])
     def test_root_screen_matches_solving_every_cell(self, seed, N, variant, tol):
-        # at N = 2, (n - m) N < n: the root does not count, nodes take the
-        # two-SVD screen
+        # at N = 2, (n - m) N < n: the root does not count, and the walk
+        # screens nodes of at most 10 columns
         inst = random_instance(20, 12, N, seed=seed, sparsity=3)
         assert_matches_every_cell(*ROOT_VARIANTS[variant](inst), 3, tol)
 
-    @pytest.mark.parametrize("N, svds", [(3, 4), (2, 76)])
-    def test_svd_count(self, monkeypatch, N, svds):
-        # a regression to screening nodes one by one fails here without any
-        # timing: with the root, one SVD of A and one of G_root, then the
-        # planted cell's two; without it (N = 2), the node screen's count
+    @pytest.mark.parametrize("variant", list(DECLINED_ROOT_VARIANTS))
+    def test_declined_root_matches_solving_every_cell(self, variant):
+        inst = random_instance(20, 12, 3, seed=1, sparsity=3)
+        Y, A, tol = DECLINED_ROOT_VARIANTS[variant](inst)
+        c = 3 ** 0.5 * float(np.max(np.abs(Y)))
+        bound = tol or default_cutoff(((20 - 3) * 3, 20), c)
+        assert _root_screen(Y, A, 3, c, bound) is None
+        assert_matches_every_cell(Y, A, 3, tol)
+
+    @pytest.mark.parametrize("n, m, s, N, svds, cells", [
+        (20, 12, 3, 3, 4, 1), (20, 12, 3, 2, 22, 5), (16, 10, 2, 4, 14, 4)])
+    def test_svd_count(self, monkeypatch, n, m, s, N, svds, cells):
+        # a regression to solving every cell, or to screening nodes that
+        # cannot count, fails here without any timing: with the root, one
+        # SVD of A and one of G_root, then the planted cell's two; without
+        # it (N = 2, and N = 4 > s), two per node of few enough columns to
+        # count and two per cell solved, the first few cells being yielded
+        # before any node below the root counts
         module = importlib.import_module("bgpc.recover")
         svd, calls, solved = np.linalg.svd, [], []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **k: calls.append(a) or svd(*a, **k))
         monkeypatch.setattr(module, "_solve_gamma",
                             lambda *a: solved.append(a) or _solve_gamma(*a))
-        inst = random_instance(20, 12, N, seed=5, sparsity=3)
-        res = recover_joint_sparse(forward(inst), inst.A, 3)
+        inst = random_instance(n, m, N, seed=5, sparsity=s)
+        res = recover_joint_sparse(forward(inst), inst.A, s)
         assert res.status == UNIQUE and res.support == inst.support
-        assert (len(calls), len(solved)) == (svds, 1)
-
-    @pytest.mark.parametrize("variant", list(DECLINED_ROOT_VARIANTS))
-    def test_declined_root_costs_no_svd(self, monkeypatch, variant):
-        # the root factors A, and G when A clears, before it declines; the
-        # node screen's test of all m columns reuses those SVDs, so the call
-        # takes the node screen's own count
-        module = importlib.import_module("bgpc.recover")
-        inst = random_instance(20, 12, 3, seed=1, sparsity=3)
-        Y, A, tol = DECLINED_ROOT_VARIANTS[variant](inst)
-        c = 3 ** 0.5 * float(np.max(np.abs(Y)))
-        bound = tol or default_cutoff(((20 - 3) * 3, 20), c)
-        sA, _, screen = _root_screen(Y, A, 3, c, bound)
-        assert sA is not None and screen is None
-
-        def run():
-            svd, calls = np.linalg.svd, []
-            with monkeypatch.context() as mp:
-                mp.setattr(np.linalg, "svd",
-                           lambda *a, **k: calls.append(a) or svd(*a, **k))
-                res = recover_joint_sparse(Y, A, 3, tol=tol)
-            return res, len(calls)
-
-        res, svds = run()
-        monkeypatch.setattr(module, "_root_screen", lambda *a: (None, None, None))
-        node_res, node_svds = run()
-        assert svds == node_svds
-        assert (res.status, res.null_dim, res.support) == (
-            node_res.status, node_res.null_dim, node_res.support)
+        assert (len(calls), len(solved)) == (svds, cells)
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("variant", [v for v in ROOT_VARIANTS if v != "near_dup_in"])
     def test_root_solves_only_the_heavy_cell(self, monkeypatch, seed, variant):
-        # when the root counts there is no walk: every cell that misses one
-        # of the s heaviest rows of the root's X is ruled out at once
+        # when the root counts it is the only node screened: every cell
+        # that misses one of the s heaviest rows of the root's X is ruled
+        # out at once
         module = importlib.import_module("bgpc.recover")
-
-        def no_walk(*args):
-            raise AssertionError("support_cells called although the root counts")
-
-        solved = []
-        monkeypatch.setattr(module, "support_cells", no_walk)
+        screened, solved = [], []
+        monkeypatch.setattr(module, "_root_screen", lambda *a: (
+            screened.append(a[1].shape[1]) or _root_screen(*a)))
         monkeypatch.setattr(module, "_solve_gamma",
                             lambda *a: solved.append(a) or _solve_gamma(*a))
         inst = random_instance(20, 12, 3, seed=seed, sparsity=3)
         Y, A = ROOT_VARIANTS[variant](inst)
-        rows, _ = _root_screen(Y, A, 3, 3 ** 0.5 * float(np.max(np.abs(Y))), 0.0)[2]
+        rows, _ = _root_screen(Y, A, 3, 3 ** 0.5 * float(np.max(np.abs(Y))), 0.0)
         heavy = tuple(i for i, w in enumerate(rows) if w >= sorted(rows)[-3])
         res = recover_joint_sparse(Y, A, 3)
+        assert screened == [12]
         if variant == "noise 1e-9":
             # no gamma fits: J* is ruled out too
             assert (res.status, res.null_dim, solved) == (AMBIGUOUS, 0, [])
@@ -472,19 +456,17 @@ class TestJointSparseScreen:
 
     def test_tie_at_the_s_th_weight_solves_no_cell(self, monkeypatch):
         # s + 1 rows at or above w_s: every s-cell misses one of them, so
-        # every cell is ruled out, as the leaf test of each would find
+        # the root leaves no cell, as the bound of each would find
         module = importlib.import_module("bgpc.recover")
-        real = module._root_screen
-
         seen, solved = [], []
 
         def tied(Y, A, s, y_max, bound):
-            sA, sG, (rows, low) = real(Y, A, s, y_max, bound)
+            rows, low = _root_screen(Y, A, s, y_max, bound)
             order = np.argsort(rows)
             rows = list(rows)
             rows[order[-s - 1]] = rows[order[-s]]
             seen.append((rows, low, bound))
-            return sA, sG, (rows, low)
+            return rows, low
 
         monkeypatch.setattr(module, "_root_screen", tied)
         monkeypatch.setattr(module, "_solve_gamma",
@@ -492,21 +474,10 @@ class TestJointSparseScreen:
         inst = random_instance(20, 12, 3, seed=5, sparsity=3)
         res = recover_joint_sparse(forward(inst), inst.A, 3)
         assert (res.status, res.null_dim, solved) == (AMBIGUOUS, 0, [])
-        [(rows, low, bound)] = seen
+        [(rows, low, bound)] = seen  # the root alone is screened
         assert all(clears(low(sum(w for i, w in enumerate(rows) if i not in J)),
                           SCREEN_SAFETY * bound)
                    for J in combinations(range(12), 3))
-
-    def test_only_the_planted_cell_is_solved(self, monkeypatch):
-        # a regression to solving every cell fails here without any timing
-        module = importlib.import_module("bgpc.recover")
-        calls = []
-        monkeypatch.setattr(module, "_solve_gamma",
-                            lambda *a: calls.append(a) or _solve_gamma(*a))
-        inst = random_instance(20, 12, 3, seed=5, sparsity=3)
-        res = recover_joint_sparse(forward(inst), inst.A, 3)
-        assert res.status == UNIQUE and res.support == inst.support
-        assert len(calls) == 1
 
     def test_large_units_screen_without_overflow(self, monkeypatch):
         # A and Y near 1e250: the screen's rounding term must stay finite,
@@ -528,14 +499,14 @@ class TestJointSparseScreen:
 
 
 class TestRootBound:
-    """The root's node bound, over every column set K: never above the
-    computed sigma_n(G_J) of a cell inside K, and never above the same
-    bound formed from rho_K = ||P_perp,K diag(gamma) Y||_F projected
+    """A node's bound, over every column set K of its dictionary: never
+    above the computed sigma_n(G_J) of a cell inside K, and never above the
+    same bound formed from rho_K = ||P_perp,K diag(gamma) Y||_F projected
     directly, with no rounding terms. Its value at the s-th heaviest row
     weight is never above sigma_n(G_J) of a cell missing a heavy row."""
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("shape", [(12, 8, 3, 3), (10, 5, 2, 2)])
+    @pytest.mark.parametrize("shape", [(12, 8, 3, 3), (10, 5, 2, 2), (20, 12, 3, 2)])
     @pytest.mark.parametrize("variant", [
         v for v in ROOT_VARIANTS if v != "near_dup_in"])
     def test_bound_below_every_cell(self, seed, shape, variant):
@@ -545,8 +516,14 @@ class TestRootBound:
         n, m, s, N = shape
         inst = random_instance(n, m, N, seed=seed, sparsity=s)
         Y, A = ROOT_VARIANTS[variant](inst)
+        if (n - m) * N < n:
+            # the root is declined; take the inner node that drops the last
+            # two columns outside the planted support, with (n - m) N = n
+            outside = [j for j in range(m) if j not in inst.support]
+            A = A[:, [j for j in range(m) if j not in outside[-2:]]]
+            m -= 2
         c = N ** 0.5 * float(np.max(np.abs(Y)))
-        rows, low_of_weight = _root_screen(Y, A, s, c, 0.0)[2]
+        rows, low_of_weight = _root_screen(Y, A, s, c, 0.0)
 
         def node_low(K):
             return low_of_weight(sum(w for i, w in enumerate(rows) if i not in K))
