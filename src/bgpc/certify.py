@@ -55,17 +55,18 @@ every use of r. Each term is inflated by ``SCREEN_SAFETY``.
 
 ||S||_F^2 = ||X0||_F^2 + sum_k ||a_k||^2 (||w_k||^2 + (N-2) |w_k0|^2), so the
 default cutoff max(rows, cols) eps sigma_max(S) is at most
-max(rows, cols) eps ||S||_F. :func:`stacked_rank` reports rank mN from
+max(rows, cols) eps ||S||_F. :func:`_stacked_rank` reports rank mN from
 the bound alone when it clears 10x that and any explicit ``tol``;
 otherwise (a wide T, a singular or marginal R, or a bound that is not
-clear) it factors S as before.
+clear) it builds and factors S.
 
 Range. A norm summed from squares loses every square that underflows and
 overflows for large entries, while LAPACK rescales internally; a norm read
-as 0 would drop the E factor and every rounding term. So the screen runs
-only when the largest moduli of A and X0 lie within 2^+-100 of 1, takes
-the norms of X0, K^top and T by :func:`_norm`, which sums them at unit
-scale when needed, and stops when c or ||K^top||_F exceeds 2^400 r, beyond
+as 0 would drop the E factor and every rounding term. So the screen takes
+A and X0 as :func:`_normalized` leaves them, each with its largest
+modulus in [0.5, 1), takes the norms of X0, K^top and T by :func:`_norm`,
+which sums them at unit scale when needed (the columns of X0 may differ
+widely in size), and stops when c or ||K^top||_F exceeds 2^400 r, beyond
 which R^-1 K_j^top and T could overflow. In that range nothing overflows;
 the closed form of ||S||_F loses a relative part below 2^-600 to
 underflow, and the products behind R, K and T lose far less than their
@@ -90,9 +91,8 @@ JOINT_SPARSE = "JointSparse"
 IDENTIFIABLE = "IdentifiableUpToScaling"
 NOT_CERTIFIED = "NotCertified"
 
-# the elimination screen's range: entries of A and X0 within 2^+-100 of 1,
-# and c, ||K^top||_F below 2^400 sigma_min(R); see the module docstring
-SCREEN_INPUT_RANGE = 2.0 ** 100
+# the elimination screen's range: c and ||K^top||_F below 2^400 sigma_min(R);
+# see the module docstring
 SCREEN_RATIO_RANGE = 2.0 ** 400
 
 
@@ -232,7 +232,7 @@ def _elimination_bound(R, K, X0) -> float:
 def _stacked_bound(A, X0) -> tuple[float, float]:
     """(lower bound on sigma_min(S) net of rounding, ||S||_F) for
     S = build_stacked(A, X0), without forming S; needs n >= m,
-    1 + (n-m)(N-1) >= m and the input range of the module docstring."""
+    1 + (n-m)(N-1) >= m and A, X0 scaled to unit size."""
     N = X0.shape[1]
     W = A @ X0
     Q, R = np.linalg.qr(W[:, :1] * A, mode="complete")
@@ -245,43 +245,23 @@ def _stacked_bound(A, X0) -> tuple[float, float]:
     return low, s_norm
 
 
-def _in_screen_range(M) -> bool:
-    return 1 / SCREEN_INPUT_RANGE <= float(np.max(np.abs(M))) <= SCREEN_INPUT_RANGE
+def _stacked_rank(A, X0, tol: float | None = None) -> tuple[int, float]:
+    """(rank of build_stacked(A, X0), tolerance used), for A and X0 scaled
+    to unit size by :func:`_normalized`.
 
-
-def full_rank_screen(A, X0, tol: float | None = None) -> float | None:
-    """``tolerance_used`` of a certified rank(build_stacked(A, X0)) = mN, or
-    None when the bound of the module docstring cannot decide.
-
-    The stacked matrix S is never formed: one QR of diag(w_0) A, N - 1
-    products with Q^H and SVDs of R and T. The tolerance is ``tol``, or
-    max(rows, cols) eps ||S||_F, a bound on the default cutoff; a pass is
-    reported only when the bound on sigma_min(S) clears 10x both. Entries
-    of A or X0 outside the screen's range leave the decision to the SVD.
+    Rank mN is reported from the bound of the module docstring, with S never
+    formed, when that bound clears 10x both ``tol`` and max(rows, cols) eps
+    ||S||_F, a bound on the default cutoff; the tolerance is then ``tol`` or
+    that bound. Otherwise S is built and factored by one SVD.
     """
     check_tolerance(tol)
     n, m = A.shape
     N = X0.shape[1]
-    if 1 + (n - m) * (N - 1) < m:  # T is wide: rank(S) < mN
-        return None
-    if not (_in_screen_range(A) and _in_screen_range(X0)):
-        return None
-    low, s_norm = _stacked_bound(A, X0)
-    cutoff = default_cutoff((1 + n * (N - 1), m * N), s_norm)
-    if not clears(low, cutoff, tol):
-        return None
-    return cutoff if tol is None else float(tol)
-
-
-def stacked_rank(A, X0, tol: float | None = None) -> tuple[int, float]:
-    """(rank of build_stacked(A, X0), tolerance used).
-
-    Rank mN is decided by :func:`full_rank_screen` when it can; otherwise
-    the stacked matrix is built and factored by one SVD.
-    """
-    screened = full_rank_screen(A, X0, tol)
-    if screened is not None:
-        return A.shape[1] * X0.shape[1], screened
+    if 1 + (n - m) * (N - 1) >= m:  # else T is wide: rank(S) < mN
+        low, s_norm = _stacked_bound(A, X0)
+        cutoff = default_cutoff((1 + n * (N - 1), m * N), s_norm)
+        if clears(low, cutoff, tol):
+            return m * N, cutoff if tol is None else float(tol)
     rr = numeric_rank(build_stacked(A, X0), tol=tol)
     return rr.numeric_rank, rr.tolerance_used
 
@@ -292,12 +272,12 @@ def certify_subspace(A, X0, lambda0, tol: float | None = None) -> CertificateRep
     A, X0 and lambda0 are first scaled to unit size by exact powers of two,
     so the verdict does not depend on their units; an explicit ``tol`` cuts
     the singular values of the certificate matrix built from the scaled pair.
-    Condition 1 is decided by :func:`stacked_rank`.
+    Condition 1 is decided by :func:`_stacked_rank`.
     """
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     m, N = X0.shape
     cond2 = _lambda_uniqueness(A, X0, lambda0)
-    rank, tolerance = stacked_rank(A, X0, tol)
+    rank, tolerance = _stacked_rank(A, X0, tol)
     cond1 = rank == m * N
     verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
     return CertificateReport(

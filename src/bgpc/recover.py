@@ -197,6 +197,16 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
     - (q + default_cutoff(((n - s) N, n), 1)) c off the bound: a cell's
       computed sigma_n(G_J) lies within its Q_perp error and its own SVD's
       rounding of the exact one, with sigma_max(G_J) <= c.
+    q is subtracted twice because its two copies bound two different
+    computed matrices. The first, in sigma2, tau and rho_K, carries the
+    node's computed G, from the SVD of A, to an exact one. The second, in
+    the last term, carries each cell's exact G_J to the computed G_J that
+    :func:`_solve_gamma` factors, from its own SVD of A_J. The exact bound
+    links the two exact matrices only, and neither rounding error bounds
+    the other.
+    At ``tol`` = 0 the cells' cutoff bound is 0, and a bound that clears
+    it is just low > 0: the computed sigma_n(G_J) is then positive, so
+    G_J has rank n at the cutoff 0, as when the cell is solved.
     Everything is formed divided by c, so nothing overflows at any units
     of Y.
 
@@ -292,8 +302,7 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     bound = tol if tol is not None else default_cutoff(((n - s) * N, n), y_max)
 
     def screen(K):  # None to descend, or the cells inside K left by its bound
-        found = (_root_screen(Y, A[:, list(K)], s, y_max, bound)
-                 if bound > 0 and y_max > 0 else None)
+        found = _root_screen(Y, A[:, list(K)], s, y_max, bound) if y_max > 0 else None
         if found is None:
             return None
         rows, low = found

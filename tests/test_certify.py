@@ -3,6 +3,7 @@ import warnings
 from dataclasses import replace
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from bgpc import (BudgetExceededError, DimensionError, IDENTIFIABLE,
                   random_instance)
 from bgpc.certify import (JOINT_SPARSE, SUBSPACE, CertificateReport,
                           _elimination_bound, _lambda_uniqueness, _norm,
-                          _normalized, _stacked_bound, build_stacked_restricted,
-                          full_rank_screen, stacked_rank)
+                          _normalized, _stacked_bound, build_stacked_restricted)
 from bgpc.construct import construct_claim1
 from bgpc.cxmat import default_cutoff, numeric_rank
 from bgpc.model import support_cells
@@ -282,6 +282,13 @@ class TestCertifyJointSparse:
         with pytest.raises(DimensionError, match=r"requires 1 <= s <= m"):
             certify_joint_sparse(inst.A, inst.X0, inst.lambda0, s)
 
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_support_of_another_size(self, s):
+        inst = random_instance(20, 8, 2, seed=17, sparsity=3)
+        with pytest.raises(DimensionError,
+                           match=rf"X0 row support has size 3, expected s={s}"):
+            certify_joint_sparse(inst.A, inst.X0, inst.lambda0, s)
+
     def test_full_support_matches_subspace(self):
         # s = m: the single cell J0 | J1 = 0..m-1 is the subspace certificate
         n, m = 12, 4
@@ -444,10 +451,10 @@ class TestWholeDictionaryScreen:
             tol = float(variant[4:]) * last_cell_sigma_min(A, X0, inst.lambda0, s)
         elif variant != "plain":
             X0 = X0 * (1e300 if variant == "large" else 1e-300)
-        calls = record_calls(monkeypatch, "full_rank_screen", "numeric_rank")
+        calls = record_calls(monkeypatch, "_stacked_bound", "numeric_rank")
         rep = certify_joint_sparse(A, X0, inst.lambda0, s, tol=tol)
         assert rep == certify_every_cell(A, X0, inst.lambda0, s, tol=tol)
-        assert calls["full_rank_screen"] == []
+        assert calls["_stacked_bound"] == []
         if variant in ("plain", "large", "small"):
             assert rep.verdict == IDENTIFIABLE
             if (n, m, s, N) in ROOT_COUNT_DECLINES:  # below 84 disjoint cells + 1
@@ -464,10 +471,10 @@ class TestWholeDictionaryScreen:
     def test_one_cell_factored(self, monkeypatch):
         # one SVD of the whole dictionary and the last cell for the report;
         # a regression to the 84 disjoint cells fails here
-        calls = record_calls(monkeypatch, "full_rank_screen", "numeric_rank")
+        calls = record_calls(monkeypatch, "_stacked_bound", "numeric_rank")
         inst = random_instance(20, 12, 3, seed=5, sparsity=3)
         rep = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 3)
-        assert calls["full_rank_screen"] == []
+        assert calls["_stacked_bound"] == []
         assert len(calls["numeric_rank"]) == 2
         assert rep.support_cells_checked == 220
         assert rep.verdict == IDENTIFIABLE
@@ -546,12 +553,15 @@ def certify_stacked_svd(A, X0, lambda0, tol=None):
 
 def assert_matches_stacked_svd(A, X0, lambda0, tol=None) -> bool:
     """certify_subspace equals the stacked-SVD report field for field; True
-    when the screen decided. Only a screened pass at the default tolerance
-    reports max(rows, cols) eps ||S||_F, which lies between the stacked
-    cutoff and sqrt(mN) times it."""
-    rep = certify_subspace(A, X0, lambda0, tol)
+    when the screen decided, so that the stacked matrix was never built.
+    Only a screened pass at the default tolerance reports
+    max(rows, cols) eps ||S||_F, which lies between the stacked cutoff and
+    sqrt(mN) times it."""
+    module = importlib.import_module("bgpc.certify")
+    with mock.patch.object(module, "build_stacked", wraps=build_stacked) as built:
+        rep = certify_subspace(A, X0, lambda0, tol)
+    screened = not built.called
     ref = certify_stacked_svd(A, X0, lambda0, tol)
-    screened = full_rank_screen(*_normalized(A, X0, lambda0)[:2], tol) is not None
     if screened and tol is None:
         bound = ref.tolerance_used * np.sqrt(ref.required_rank)
         assert ref.tolerance_used <= rep.tolerance_used * (1 + 1e-12)
@@ -596,9 +606,7 @@ class TestSubspaceScreen:
     def test_below_threshold_declines(self, n, m, N):
         inst = random_instance(n, m, N, seed=n + m + N)
         assert (n - m) * N < n - 1
-        A, X0, _ = _normalized(inst.A, inst.X0, inst.lambda0)
-        assert full_rank_screen(A, X0) is None
-        assert_matches_stacked_svd(inst.A, inst.X0, inst.lambda0)
+        assert not assert_matches_stacked_svd(inst.A, inst.X0, inst.lambda0)
 
     def test_zero_gain_entry(self):
         inst = random_instance(12, 6, 3, seed=21)
@@ -655,28 +663,6 @@ class TestSubspaceScreen:
             assert not screened
         if eps == 0.0:
             assert certify_subspace(A, X0, lam).verdict == NOT_CERTIFIED
-
-    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e-40, 1e40, 1e160, 1e200])
-    @pytest.mark.parametrize("n, N, selected", FULL_WINDOWS[:2])
-    def test_unscaled_full_window(self, n, N, selected, c):
-        # stacked_rank takes A and X0 in their own units; a rank-deficient
-        # stack is never passed and no square under- or overflows unseen
-        A, X0, _ = full_window_instance(n, N, selected)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for A_c, X0_c in ((A, X0 * c), (A * c ** 0.25, X0)):
-                rr = numeric_rank(build_stacked(A_c, X0_c))
-                assert stacked_rank(A_c, X0_c) == (rr.numeric_rank, rr.tolerance_used)
-                assert rr.numeric_rank < len(selected) * N
-
-    @pytest.mark.parametrize("c", [2.0 ** -101, 2.0 ** 101])
-    def test_screen_range(self, c):
-        inst = random_instance(16, 8, 3, seed=26)
-        A, X0, _ = _normalized(inst.A, inst.X0, inst.lambda0)
-        assert full_rank_screen(A, X0) is not None
-        assert full_rank_screen(A * c, X0) is None
-        assert full_rank_screen(A, X0 * c) is None
-        assert stacked_rank(A, X0 * c)[0] == 24
 
     def test_large_pass_builds_nothing(self, monkeypatch):
         module = importlib.import_module("bgpc.certify")

@@ -1,10 +1,13 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bgpc.cli import EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, build_parser, main
@@ -115,6 +118,16 @@ class TestRecoverPipeline:
             "--out", str(inst), "--y-out", str(Y), "--a-out", str(A))
         assert run("recover", "--Y", str(Y), "--A", str(A)) == 2
 
+    def test_inconsistent_Y_exit_1(self, tmp_path, capsys):
+        # a Y that no gamma maps into range(A) is an input error
+        A = tmp_path / "A.json"
+        Y = tmp_path / "Y.json"
+        run("gen", "--n", "8", "--m", "4", "--N", "2", "--seed", "2",
+            "--out", str(tmp_path / "inst.json"), "--a-out", str(A))
+        dump_json(matrix_to_dict(np.random.default_rng(2).standard_normal((8, 2))), Y)
+        assert run("recover", "--Y", str(Y), "--A", str(A)) == EXIT_INPUT_ERROR
+        assert "trivial null space" in capsys.readouterr().err
+
     def test_negative_env_tolerance_is_input_error(self, tmp_path, monkeypatch):
         inst = tmp_path / "inst.json"
         Y = tmp_path / "Y.json"
@@ -191,6 +204,15 @@ class TestSweep:
         assert lines[0].startswith("mode,n,dim,N,")
         assert len(lines) == 3
         assert len(json.loads(js.read_text())) == 2
+
+    def test_env_tolerance_reaches_the_trials(self, tmp_path, monkeypatch):
+        # an absurdly large BGPC_TOL fails every certificate of the sweep
+        cfg = self.config(tmp_path)
+        csv = tmp_path / "out.csv"
+        monkeypatch.setenv("BGPC_TOL", "1e6")
+        assert run("sweep", "--config", str(cfg), "--csv", str(csv)) == 0
+        rows = [line.split(",") for line in csv.read_text().strip().split("\n")[1:]]
+        assert [(r[2], r[5], r[6]) for r in rows] == [("3", "3", "0"), ("8", "3", "0")]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -345,12 +367,45 @@ class TestErrors:
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_tolerance(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("env, flag, code, rank", [
+        ("1e6", None, 2, 0),  # absurdly large tolerance kills the rank condition
+        (None, "1e6", 2, 0),
+        ("1e6", "1e-9", 0, 8),  # --tol wins over BGPC_TOL
+        ("1e-9", "1e6", 2, 0),
+    ])
+    def test_tolerance_flag_and_env(self, tmp_path, monkeypatch, env, flag,
+                                    code, rank):
         inst = tmp_path / "inst.json"
         run("gen", "--n", "8", "--m", "4", "--N", "2", "--seed", "1",
             "--out", str(inst))
-        # absurdly large tolerance kills the rank condition
-        monkeypatch.setenv("BGPC_TOL", "1e6")
+        if env is not None:
+            monkeypatch.setenv("BGPC_TOL", env)
         rep = tmp_path / "rep.json"
-        assert run("certify", "--instance", str(inst), "--out", str(rep)) == 2
-        assert load_json(rep)["stacked_rank"] == 0
+        tol = [] if flag is None else ["--tol", flag]
+        assert run("certify", "--instance", str(inst), *tol, "--out", str(rep)) == code
+        d = load_json(rep)
+        assert (d["stacked_rank"], d["tolerance_used"]) == (rank, float(flag or env))
+
+
+def readme_blocks(lang):
+    """The fenced ``lang`` blocks of the README's "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{lang}\n(.*?)```", section, re.S)
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    # every line of the README's command-line block exits 0 as written,
+    # with the README's sweep config at fewer trials
+    (commands,), (config,) = readme_blocks("sh"), readme_blocks("json")
+    cfg = json.loads(config)
+    cfg["trials"] = 1
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BGPC_TOL", raising=False)
+    lines = [shlex.split(line) for line in commands.splitlines() if line.strip()]
+    assert len(lines) == 9
+    for argv in lines:
+        assert argv[0] == "bgpc"
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "out.csv").read_text().count("\n") == 1 + 11 * 7

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import pytest
 from bgpc import (DimensionError, InfeasibleConstructionError,
                   construct_claim1, construct_claim2, dft_matrix, numeric_rank,
                   select_columns, verify_claim1_rank)
-from bgpc.certify import (build_D_stack, build_stacked, full_rank_screen,
-                          stacked_rank)
+from bgpc.certify import (_normalized, _stacked_rank, build_D_stack,
+                          build_stacked)
 from bgpc.construct import ConstructedInstance
 
 
@@ -165,16 +166,18 @@ class TestVerifyRanks:
             assert rec.left_null_dim + rec.D_rank == n * (N - 1)
 
 
-    def test_screen_decides_every_triple(self):
+    def test_screen_decides_every_triple(self, monkeypatch):
         # diag(w_0) A = A has orthogonal columns on the DFT construction, so
-        # certify's elimination screen decides rank mN on every triple; its
-        # cutoff is no smaller than that of one SVD of S
+        # certify's elimination screen decides rank mN on every triple, with
+        # S never built; its cutoff is no smaller than that of one SVD of S
+        monkeypatch.setattr(importlib.import_module("bgpc.certify"), "build_stacked",
+                            lambda *a: pytest.fail("the stacked matrix was built"))
         for n, m, N in feasible_triples(16):
             ci = construct_claim1(n, m, N)
-            screened = full_rank_screen(ci.A, ci.X0)
-            rr = numeric_rank(build_stacked(ci.A, ci.X0))
-            assert stacked_rank(ci.A, ci.X0) == (m * N, screened)
-            assert rr.numeric_rank == verify_claim1_rank(ci).stacked_rank == m * N
+            A, X0, _ = _normalized(ci.A, ci.X0, np.ones(n))
+            rank, screened = _stacked_rank(A, X0)
+            rr = numeric_rank(build_stacked(A, X0))
+            assert rank == rr.numeric_rank == verify_claim1_rank(ci).stacked_rank == m * N
             assert rr.tolerance_used <= screened * (1 + 1e-12)
 
     def test_explicit_tolerance_reported(self):
@@ -188,18 +191,19 @@ class TestVerifyRanks:
         (12, 3, (0, 1, 2, 5, 6, 7)), (16, 4, (0, 1, 2, 3, 6, 7, 8, 9, 12))])
     def test_full_window_at_extreme_scales(self, n, N, selected, c):
         # a second full circular window makes rank(S) < mN exactly; at any
-        # scale of X0 the screen leaves the rank to one SVD of S, with no
-        # warning
+        # scale of X0 the certificate's route and verify_claim1_rank find
+        # the rank of one SVD of S, with no warning
         m = len(selected)
         ci = ConstructedInstance(
             n=n, m=m, N=N, X0=np.eye(m, N, dtype=np.complex128) * c,
             A=dft_matrix(n)[:, list(selected)], selected_cols=selected,
             complement_cols=tuple(sorted(set(range(n)) - set(selected))),
             expected_left_null_dim=n * N - m * N - n + 1)
-        rr = numeric_rank(build_stacked(ci.A, ci.X0))
+        A, X0, _ = _normalized(ci.A, ci.X0, np.ones(n))
+        rr = numeric_rank(build_stacked(A, X0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert stacked_rank(ci.A, ci.X0) == (rr.numeric_rank, rr.tolerance_used)
+            assert _stacked_rank(A, X0) == (rr.numeric_rank, rr.tolerance_used)
             rec = verify_claim1_rank(ci)
         assert rec.stacked_rank == rr.numeric_rank < m * N and not rec.passed
 
@@ -207,11 +211,10 @@ class TestVerifyRanks:
     def test_constructed_instance_at_extreme_scales(self, c):
         ci = construct_claim1(12, 8, 3)
         ci = replace(ci, X0=ci.X0 * c)
-        rr = numeric_rank(build_stacked(ci.A, ci.X0))
+        A, X0, _ = _normalized(ci.A, ci.X0, np.ones(12))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert full_rank_screen(ci.A, ci.X0) is None
-            assert stacked_rank(ci.A, ci.X0) == (rr.numeric_rank, rr.tolerance_used)
+            assert _stacked_rank(A, X0)[0] == 24
             assert verify_claim1_rank(ci).passed
 
     def test_failing_stack_factors_D(self, duplicated_column_construction):

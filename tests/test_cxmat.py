@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bgpc import DimensionError, dft_matrix, numeric_rank
-from bgpc.cxmat import EPS, clears, default_cutoff, pow2_scaled, rank_decision
+from bgpc.cxmat import (EPS, as_cmatrix, clears, default_cutoff, pow2_scaled,
+                        rank_decision)
 
 
 def rand_cmat(rng, r, c):
@@ -156,6 +157,22 @@ class TestClears:
     def test_nonfinite(self):
         assert not clears(float("nan"), 1.0)
         assert not clears(1.0, float("inf"))
+
+
+class TestAsCmatrix:
+    def test_vector_is_one_row(self):
+        M = as_cmatrix([1, 2j, 3])
+        assert M.shape == (1, 3) and M.dtype == np.complex128
+
+    @pytest.mark.parametrize("a, message", [
+        (np.zeros((2, 2, 2)), "A must be 2-D, got ndim=3"),
+        (1.0, "A must be 2-D, got ndim=0"),
+        (np.zeros((0, 3)), "A must be nonempty"),
+        ([], "A must be nonempty"),
+    ])
+    def test_rejected_shapes(self, a, message):
+        with pytest.raises(DimensionError, match=message):
+            as_cmatrix(a, "A")
 
 
 class TestPow2Scaled:

@@ -91,6 +91,35 @@ class TestRunSweep:
         assert skipped.trials == 0
         assert not ran.skipped_reason and ran.rate == 1.0
 
+    @pytest.mark.parametrize("mode, m, dim, N, reason", [
+        (SUBSPACE, None, 4, 1, "N < 2"),
+        (SUBSPACE, None, 16, 2, "requires n > m >= 1"),
+        (JOINT_SPARSE, 6, 8, 2, "requires n > 2s"),
+        (JOINT_SPARSE, 6, 7, 2, "requires s <= m"),
+    ])
+    def test_skip_reasons(self, mode, m, dim, N, reason):
+        cfg = SweepConfig(mode=mode, n=16, m=m, dim_range=[dim], N_range=[N],
+                          trials=2, record_timing=False)
+        (cell,) = run_sweep(cfg)
+        assert (cell.skipped_reason, cell.trials, cell.rate) == (reason, 0, 0.0)
+
+    @pytest.mark.parametrize("m, N_range, threshold_met, rate", [
+        # m < 2s: a union J0 | J1 has at most m = 12 columns, not 2s = 14,
+        # so the certificate passes once (16 - 12) min(N, 7) >= 15, at N = 4
+        (12, [4, 5, 6, 7], False, 1.0),
+        # ceil(15 / (16 - 14)) = 8 > s: rank(A X0) <= s = 7, and
+        # (16 - 14) min(8, 7) = 14 < 15, so every trial fails
+        (14, [8], True, 0.0),
+    ])
+    def test_joint_sparse_threshold_corners(self, m, N_range, threshold_met, rate):
+        # threshold_met is N >= ceil((n - 1) / (n - 2s)), the paper's count;
+        # in these two corners it disagrees with the certificate's rate
+        cfg = SweepConfig(mode=JOINT_SPARSE, n=16, m=m, dim_range=[7],
+                          N_range=N_range, trials=3, base_seed=1,
+                          record_timing=False)
+        for cell in run_sweep(cfg):
+            assert (cell.threshold_met, cell.rate) == (threshold_met, rate)
+
     def test_joint_sparse_needs_m(self):
         with pytest.raises(DimensionError):
             SweepConfig(mode=JOINT_SPARSE, n=16, dim_range=[2], N_range=[2],

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale, forward,
                   numeric_rank, random_instance, recover, recover_joint_sparse)
 from bgpc.cxmat import SCREEN_SAFETY, clears, default_cutoff
-from bgpc.errors import BudgetExceededError, DimensionError
+from bgpc.errors import (BudgetExceededError, DimensionError,
+                         InconsistentSystemError)
 from bgpc.recover import (DEFAULT_GAMMA_TOL, EQUIVALENCE_TOL, _degenerate,
                           _gamma_system, _root_screen, _solve_gamma,
                           build_recovery_system)
@@ -85,6 +86,14 @@ class TestRecover:
         res = recover(forward(inst), inst.A)
         assert res.status == UNIQUE
         np.testing.assert_allclose(res.lam * res.gamma, 1.0, atol=1e-8)
+
+    def test_inconsistent_measurements_raise(self):
+        # a random Y fits no gamma: G is square and of full rank, and
+        # rank(A) = m leaves no null(A) direction either
+        inst = random_instance(8, 4, 2, seed=2)
+        Y = np.random.default_rng(2).standard_normal((8, 2)) + 0j
+        with pytest.raises(InconsistentSystemError, match="trivial null space"):
+            recover(Y, inst.A)
 
     def test_degenerate_gamma(self, degenerate_gamma_pair):
         res = recover(*degenerate_gamma_pair)
@@ -378,7 +387,7 @@ class TestJointSparseScreen:
     @pytest.mark.parametrize("n, m, s, N, tol", [
         (20, 12, 3, 3, None), (16, 10, 2, 4, None),
         (14, 8, 3, 1, None),  # N = 1: G_K has fewer than n rows, no pruning
-        (14, 8, 3, 2, 0.0),   # tol = 0: the cutoff bound is 0, no pruning
+        (14, 8, 3, 2, 0.0),   # tol = 0: a bound clears the cutoff 0 when positive
     ])
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_subtree_screen_matches_solving_every_cell(self, seed, n, m, s, N,
@@ -407,15 +416,18 @@ class TestJointSparseScreen:
         assert _root_screen(Y, A, 3, c, bound) is None
         assert_matches_every_cell(Y, A, 3, tol)
 
+    @pytest.mark.parametrize("tol", [None, 0.0])
     @pytest.mark.parametrize("n, m, s, N, svds, cells", [
         (20, 12, 3, 3, 4, 1), (20, 12, 3, 2, 22, 5), (16, 10, 2, 4, 14, 4)])
-    def test_svd_count(self, monkeypatch, n, m, s, N, svds, cells):
+    def test_svd_count(self, monkeypatch, n, m, s, N, svds, cells, tol):
         # a regression to solving every cell, or to screening nodes that
         # cannot count, fails here without any timing: with the root, one
         # SVD of A and one of G_root, then the planted cell's two; without
         # it (N = 2, and N = 4 > s), two per node of few enough columns to
         # count and two per cell solved, the first few cells being yielded
-        # before any node below the root counts
+        # before any node below the root counts. At tol = 0 the nodes
+        # screen as at the default cutoff; the planted cell's sigma_n(G) is
+        # a rounding error above 0, so no cell has a null vector
         module = importlib.import_module("bgpc.recover")
         svd, calls, solved = np.linalg.svd, [], []
         monkeypatch.setattr(np.linalg, "svd",
@@ -423,8 +435,11 @@ class TestJointSparseScreen:
         monkeypatch.setattr(module, "_solve_gamma",
                             lambda *a: solved.append(a) or _solve_gamma(*a))
         inst = random_instance(n, m, N, seed=5, sparsity=s)
-        res = recover_joint_sparse(forward(inst), inst.A, s)
-        assert res.status == UNIQUE and res.support == inst.support
+        res = recover_joint_sparse(forward(inst), inst.A, s, tol=tol)
+        if tol is None:
+            assert res.status == UNIQUE and res.support == inst.support
+        else:
+            assert (res.status, res.null_dim) == (AMBIGUOUS, 0)
         assert (len(calls), len(solved)) == (svds, cells)
 
     @pytest.mark.parametrize("seed", range(2))
@@ -560,7 +575,6 @@ class TestRootBound:
 class TestOracleAgreement:
     def test_certificate_matches_recovery(self):
         from bgpc import IDENTIFIABLE, certify_subspace
-        from bgpc.errors import InconsistentSystemError
         rng = np.random.default_rng(12)
         agree = 0
         for _ in range(60):
