@@ -26,15 +26,16 @@ EXIT_REFUSED = 3
 
 
 def _tol_from_env(args_tol):
-    if args_tol is not None:
-        return args_tol
     env = os.environ.get("BGPC_TOL")
-    if not env:
-        return None
+    if args_tol is not None or not env:
+        return args_tol
     try:
-        return float(env)
+        tol = float(env)
     except ValueError:
         raise ValueError(f"BGPC_TOL must be a number, got {env!r}") from None
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"BGPC_TOL must be nonnegative, got {env!r}")
+    return tol
 
 
 def _cmd_gen(args) -> int:

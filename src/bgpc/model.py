@@ -136,16 +136,21 @@ def support_cells(m: int, s: int, screen):
     and next column j lie the cells inside K = prefix + (j..m-1) that hold
     prefix. ``screen(K)`` returns None to descend, or the cells inside K
     still left; the walk yields those that hold prefix and skips the rest
-    of K. The caller decides each cell yielded."""
+    of K. At the last j, m - s + len(prefix), K is itself one cell and is
+    yielded unscreened, as a screen of it costs as much as deciding it; so
+    ``screen`` is only asked a K of more than s columns. The caller
+    decides each cell yielded."""
     def walk(prefix, start):
         if len(prefix) == s:
             yield prefix
             return
         for j in range(start, m - s + len(prefix) + 1):
+            K = prefix + tuple(range(j, m))
             # K shrinks as j grows, so the first K decided ends the loop; at
-            # j = start it is the caller's own K, already screened
-            left = (screen(prefix + tuple(range(j, m)))
-                    if j > start or not prefix else None)
+            # j = start it is the caller's own K, already screened, and the
+            # last K is one cell, left without a screen
+            left = ([K] if len(K) == s else
+                    screen(K) if j > start or not prefix else None)
             if left is not None:
                 yield from (J for J in sorted(left) if J[:len(prefix)] == prefix)
                 return

@@ -115,12 +115,11 @@ def _solve_gamma(Y: np.ndarray, A: np.ndarray, tol: float | None):
     return 1, gamma, X
 
 
-def _degenerate(gamma: np.ndarray, gamma_tol: float) -> bool:
-    return np.min(np.abs(gamma)) <= gamma_tol * np.max(np.abs(gamma))
+def _degenerate(gamma: np.ndarray) -> bool:
+    return np.min(np.abs(gamma)) <= DEFAULT_GAMMA_TOL * np.max(np.abs(gamma))
 
 
-def recover(Y, A, tol: float | None = None,
-            gamma_tol: float = DEFAULT_GAMMA_TOL) -> RecoveryResult:
+def recover(Y, A, tol: float | None = None) -> RecoveryResult:
     """Recover (lambda, X) from consistent measurements, up to global scale."""
     Y, A = _as_pair(Y, A, tol)
     null_dim, gamma, X = _solve_gamma(Y, A, tol)
@@ -129,7 +128,7 @@ def recover(Y, A, tol: float | None = None,
             "recovery system has trivial null space; Y is not consistent with A")
     if gamma is None:
         return RecoveryResult(status=AMBIGUOUS, null_dim=null_dim)
-    if _degenerate(gamma, gamma_tol):
+    if _degenerate(gamma):
         return RecoveryResult(status=DEGENERATE_GAMMA, null_dim=1, gamma=gamma, X=X)
     return RecoveryResult(status=UNIQUE, null_dim=1, gamma=gamma,
                           lam=1.0 / gamma, X=X)
@@ -218,6 +217,13 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
       or more. Off the model G may still have full rank, and tau alone
       would rule out every cell; such a node is passed over unfactored
       all the same, since on the model its two SVDs would be wasted;
+    - c clears ``SCREEN_SAFETY`` times ``bound``, checked before any SVD.
+      low(w) is c times at most sigma2 or tau_low, less cell_err, and the
+      singular values of G are at most ||G|| <= c, with e above their
+      rounding; so low(w) < c for every w, and when c does not clear, no
+      node can. Y = 0 is the case c = 0. This gate is a rule of cost, not
+      of soundness: a declined node sends its cells on to be solved, as
+      any other does;
     - rank(A) = m, clear of its cutoff by the ``SCREEN_SAFETY`` margin;
     - low(w_s) clears, w_s the s-th largest weight. Then sigma2 clears
       too, or tau does and no gamma fits at all. When A is nearly rank
@@ -234,7 +240,8 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
     """
     n, N = Y.shape
     m = A.shape[1]
-    if (n - m) * N < n or (n - m) * min(N, s) < n - 1:
+    if ((n - m) * N < n or (n - m) * min(N, s) < n - 1
+            or not clears(y_max, SCREEN_SAFETY * bound)):
         return None
     U, sA, Vh, _, G = _gamma_system(Y, A)
     a_err = default_cutoff((n, m), sA[0])
@@ -264,7 +271,6 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
 
 
 def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
-                         gamma_tol: float = DEFAULT_GAMMA_TOL,
                          max_cells: int = DEFAULT_CELL_BUDGET) -> RecoveryResult:
     """Recovery under a shared s-sparse row support, support unknown.
 
@@ -275,9 +281,10 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     reported support is the first (lexicographically minimal) passing one.
 
     The cells come from :func:`bgpc.model.support_cells`. Each node K of
-    its walk, the root of all m columns first, is screened by
-    :func:`_root_screen` of A[:, K]: one SVD of A_K and one of its system
-    G_K. Every cell's cutoff is at most ``tol`` or max((n-s)N, n) eps
+    its walk with more than s columns, the root of all m columns first, is
+    screened by :func:`_root_screen` of A[:, K]: one SVD of A_K and one of
+    its system G_K; a node of s columns is its one cell, and is solved.
+    Every cell's cutoff is at most ``tol`` or max((n-s)N, n) eps
     sqrt(N) max|Y|, since sqrt(N) max|Y| bounds each row norm of Y and so
     sigma_max(G_J). When K counts, its bound clears 10x that cutoff bound
     for every cell inside K that misses a row of the heavy cell J*, the
@@ -285,10 +292,13 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     rank(A_K) = |K| clear of its cutoff gives every A_J full column rank
     clear of its own: those cells have null_dim 0. So no cell inside K is
     left when J* has more than s rows, and otherwise only J*, unless its
-    own bound clears too. A node that does not count is descended. Above
-    the sample complexity the root counts at a generic instance, and the
-    planted support is the only cell solved. The cells left are solved as
-    in :func:`recover`.
+    own bound clears too. A node that does not count is descended. No
+    bound exceeds sqrt(N) max|Y|, so when that does not clear the cutoff
+    bound (Y = 0, or a ``tol`` too large for the units of Y) no node is
+    factored, and each cell costs its own two SVDs, as if every cell were
+    solved. Above the sample complexity the root counts at a generic
+    instance, and the planted support is the only cell solved. The cells
+    left are solved as in :func:`recover`.
     """
     Y, A = _as_pair(Y, A, tol)
     n, N = Y.shape
@@ -302,7 +312,7 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
     bound = tol if tol is not None else default_cutoff(((n - s) * N, n), y_max)
 
     def screen(K):  # None to descend, or the cells inside K left by its bound
-        found = _root_screen(Y, A[:, list(K)], s, y_max, bound) if y_max > 0 else None
+        found = _root_screen(Y, A[:, list(K)], s, y_max, bound)
         if found is None:
             return None
         rows, low = found
@@ -313,12 +323,11 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
             return ()
         return (heavy,)
 
-    hits = []
-    max_null = 0
+    hits, max_null = [], 0
     for J in support_cells(m, s, screen):
         null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
         max_null = max(max_null, null_dim)
-        if gamma is None or _degenerate(gamma, gamma_tol):
+        if gamma is None or _degenerate(gamma):
             continue
         X = np.zeros((m, N), dtype=np.complex128)
         X[list(J), :] = XJ

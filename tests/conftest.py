@@ -7,6 +7,16 @@ from bgpc import construct_claim1, random_instance
 
 
 @pytest.fixture
+def svd_calls(monkeypatch):
+    """The positional arguments of every numpy.linalg.svd call the test makes,
+    appended as each call is made."""
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(a) or svd(*a, **k))
+    return calls
+
+
+@pytest.fixture
 def degenerate_gamma_pair():
     """Consistent (Y, A) whose only solution has gamma_0 = 0.
 

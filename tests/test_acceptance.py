@@ -69,6 +69,22 @@ def test_criterion_3_joint_sparse_phase_transition():
     _ok("3 joint-sparse phase transition", "(4 cells x 25 trials)")
 
 
+def test_criterion_3b_joint_sparse_certificate_transition():
+    """n = 16, m = 14: the certificate's rate jumps from 0 to 1 at the
+    threshold ceil(15 / (16 - 2s)) = 2, 3, 4 for s = 4, 5, 6."""
+    cfg = SweepConfig(mode="JointSparse", n=16, m=14, dim_range=[4, 5, 6],
+                      N_range=list(range(2, 9)), trials=2, base_seed=42,
+                      record_timing=False)
+    cells = run_sweep(cfg)
+    assert len(cells) == 3 * 7
+    for c in cells:
+        threshold = min_samples_joint_sparse(16, c.dim)
+        assert threshold == {4: 2, 5: 3, 6: 4}[c.dim]
+        assert c.threshold_met == (c.N >= threshold)
+        assert c.rate == (1.0 if c.N >= threshold else 0.0), c
+    _ok("3b joint-sparse certificate transition", "(21 cells x 2 trials)")
+
+
 def test_criterion_4_certificate_recovery_agreement():
     """Certificate verdict equals (recovery null dim == 1) in 400 cases."""
     cases = 0

@@ -481,18 +481,20 @@ class TestWholeDictionaryScreen:
 
     def test_failure_after_ruled_out_subtrees(self, monkeypatch):
         # the first failing cell is the 21st of 56; subtrees before it are
-        # decided whole, so fewer cells than that are factored
+        # decided whole, and the walk's nodes of one cell are decided as
+        # cells, never screened first: 37 gathers are factored in all
         module = importlib.import_module("bgpc.certify")
         walked = []
         monkeypatch.setattr(module, "support_cells", lambda *a: (
             walked.append(J) or J for J in support_cells(*a)))
+        calls = record_calls(monkeypatch, "numeric_rank")
         inst = random_instance(16, 8, 3, seed=0, sparsity=3)
         A = duplicate_top_outside(inst)
         rep = certify_joint_sparse(A, inst.X0, inst.lambda0, 3)
+        assert len(calls["numeric_rank"]) == 37
         assert rep == certify_every_cell(A, inst.X0, inst.lambda0, 3)
         assert rep.support_cells_checked == 21
         assert rep.failing_support == walked[-1]
-        assert len(walked) < 21
 
 
 def shuffled_within(groups, rng):

@@ -214,6 +214,21 @@ class TestSweep:
         rows = [line.split(",") for line in csv.read_text().strip().split("\n")[1:]]
         assert [(r[2], r[5], r[6]) for r in rows] == [("3", "3", "0"), ("8", "3", "0")]
 
+    @pytest.mark.parametrize("env", ["-1", "nan"])
+    def test_bad_env_tolerance_refused_when_no_trial_runs(self, tmp_path,
+                                                          monkeypatch, capsys,
+                                                          env):
+        # every cell is skipped (N < 2), so no trial would ever use the value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "Subspace", "n": 10, "dim_range": [3],
+                                   "N_range": [1], "trials": 1}))
+        csv = tmp_path / "out.csv"
+        monkeypatch.setenv("BGPC_TOL", env)
+        assert run("sweep", "--config", str(cfg), "--csv", str(csv)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: BGPC_TOL must be nonnegative, got {env!r}\n"
+        assert not csv.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = self.config(tmp_path)
         c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -199,7 +199,7 @@ class TestSupportCells:
         assert cells == list(combinations(range(m), s))
         # each superset is asked once, and it is a prefix plus a full tail
         assert len(asked) == len(set(asked))
-        assert all(len(K) >= s and K[-1] == m - 1 for K in asked)
+        assert all(len(K) > s and K[-1] == m - 1 for K in asked)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(shape=walk_shapes(), seed=st.integers(0, 2 ** 31 - 1),
@@ -252,11 +252,15 @@ class TestSupportCells:
 
         def covered(J):
             # the walk passes J's nodes prefix J[:i] with next column
-            # j <= J[i]; j = J[i - 1] + 1 is the parent's own K, not asked
-            return any(decided(J[:i] + tuple(range(j, m)))
-                       for i in range(s)
-                       for j in range(J[i - 1] + 2 if i else 0, J[i] + 1))
+            # j <= J[i]; j = J[i - 1] + 1 is the parent's own K, not asked,
+            # and a K of s columns is a cell, yielded unasked
+            return any(decided(K) for i in range(s)
+                       for j in range(J[i - 1] + 2 if i else 0, J[i] + 1)
+                       for K in [J[:i] + tuple(range(j, m))] if len(K) > s)
 
         cells = list(support_cells(m, s, screen))
         assert cells == [J for J in every if J in left or not covered(J)]
         assert len(asked) == len(set(asked))
+        # a K of s columns is the one cell inside it, and deciding that
+        # cell costs what a screen of K would
+        assert all(len(K) > s for K in asked)

@@ -11,7 +11,7 @@ from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale, forward,
 from bgpc.cxmat import SCREEN_SAFETY, clears, default_cutoff
 from bgpc.errors import (BudgetExceededError, DimensionError,
                          InconsistentSystemError)
-from bgpc.recover import (DEFAULT_GAMMA_TOL, EQUIVALENCE_TOL, _degenerate,
+from bgpc.recover import (EQUIVALENCE_TOL, _degenerate,
                           _gamma_system, _root_screen, _solve_gamma,
                           build_recovery_system)
 
@@ -273,7 +273,7 @@ def solve_every_cell(Y, A, s, tol):
     for J in combinations(range(m), s):
         null_dim, gamma, XJ = _solve_gamma(Y, A[:, list(J)], tol)
         max_null = max(max_null, null_dim)
-        if gamma is None or _degenerate(gamma, DEFAULT_GAMMA_TOL):
+        if gamma is None or _degenerate(gamma):
             continue
         X = np.zeros((m, N), dtype=np.complex128)
         X[list(J), :] = XJ
@@ -416,10 +416,19 @@ class TestJointSparseScreen:
         assert _root_screen(Y, A, 3, c, bound) is None
         assert_matches_every_cell(Y, A, 3, tol)
 
-    @pytest.mark.parametrize("tol", [None, 0.0])
-    @pytest.mark.parametrize("n, m, s, N, svds, cells", [
-        (20, 12, 3, 3, 4, 1), (20, 12, 3, 2, 22, 5), (16, 10, 2, 4, 14, 4)])
-    def test_svd_count(self, monkeypatch, n, m, s, N, svds, cells, tol):
+    @pytest.mark.parametrize("n, m, s, N, seed, variant, tol, svds, cells, null_dim", [
+        (20, 12, 3, 3, 5, "plain", None, 4, 1, 1),
+        (20, 12, 3, 2, 5, "plain", None, 22, 5, 1),
+        (16, 10, 2, 4, 5, "plain", None, 14, 4, 1),
+        (20, 12, 3, 3, 5, "plain", 0.0, 4, 1, 0),
+        (20, 12, 3, 2, 5, "plain", 0.0, 22, 5, 0),
+        (16, 10, 2, 4, 5, "plain", 0.0, 14, 4, 0),
+        (20, 12, 3, 3, 5, "Y*1e-300", 1e-9, 440, 220, 20),
+        (16, 10, 2, 4, 0, "exact_dup_in", None, 130, 45, 5),
+        (16, 10, 2, 4, 1, "exact_dup_in", None, 147, 45, 5),
+        (16, 10, 2, 4, 2, "exact_dup_in", None, 146, 45, 5)])
+    def test_svd_count(self, monkeypatch, svd_calls, n, m, s, N, seed, variant,
+                       tol, svds, cells, null_dim):
         # a regression to solving every cell, or to screening nodes that
         # cannot count, fails here without any timing: with the root, one
         # SVD of A and one of G_root, then the planted cell's two; without
@@ -427,20 +436,25 @@ class TestJointSparseScreen:
         # count and two per cell solved, the first few cells being yielded
         # before any node below the root counts. At tol = 0 the nodes
         # screen as at the default cutoff; the planted cell's sigma_n(G) is
-        # a rounding error above 0, so no cell has a null vector
+        # a rounding error above 0, so no cell has a null vector. With
+        # Y * 1e-300 no bound can clear 10x tol = 1e-9, so no node is
+        # factored and each cell costs its own two SVDs. With a duplicate
+        # column inside the support, every node holding both copies fails
+        # the rank clearance and is descended, so all 45 cells are solved
+        # and those nodes cost more than the 90 SVDs of solving every cell
         module = importlib.import_module("bgpc.recover")
-        svd, calls, solved = np.linalg.svd, [], []
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **k: calls.append(a) or svd(*a, **k))
+        solved = []
         monkeypatch.setattr(module, "_solve_gamma",
                             lambda *a: solved.append(a) or _solve_gamma(*a))
-        inst = random_instance(n, m, N, seed=5, sparsity=s)
-        res = recover_joint_sparse(forward(inst), inst.A, s, tol=tol)
-        if tol is None:
+        inst = random_instance(n, m, N, seed=seed, sparsity=s)
+        Y, A = (near_duplicate(inst, True, 0.0) if variant == "exact_dup_in"
+                else ROOT_VARIANTS[variant](inst))
+        res = recover_joint_sparse(Y, A, s, tol=tol)
+        if null_dim == 1:
             assert res.status == UNIQUE and res.support == inst.support
         else:
-            assert (res.status, res.null_dim) == (AMBIGUOUS, 0)
-        assert (len(calls), len(solved)) == (svds, cells)
+            assert (res.status, res.null_dim) == (AMBIGUOUS, null_dim)
+        assert (len(svd_calls), len(solved)) == (svds, cells)
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("variant", [v for v in ROOT_VARIANTS if v != "near_dup_in"])
