@@ -318,6 +318,7 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     is factored; if it is not clear either, no node is, and none is factored
     again. If no cell fails, the report is the last cell's.
     """
+    check_tolerance(tol)
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     n, m = A.shape
     N = X0.shape[1]

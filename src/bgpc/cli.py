@@ -9,6 +9,7 @@ recovery it cuts the reduced gamma system, never rank(A).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -139,6 +140,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bgpc",

@@ -8,9 +8,11 @@ same double.
 
 Records are written field by field, in dataclass field order: arrays as
 matrices, index tuples 1-based, and ``support`` or ``row_order`` left out
-when None. Readers take counts only as JSON integers and index sets only as
-lists of positive integers; anything else is a DimensionError naming the
-field.
+when None. Files hold exactly the bytes of ``json.dump(obj, fh, indent=2)``
+and a newline; only the encoder differs (see :func:`_encode`). Readers take
+counts only as JSON integers, index sets only as lists of positive integers
+and matrix entries only as numbers; anything else is a DimensionError
+naming the field.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -65,6 +68,10 @@ def matrix_from_dict(d: dict, name: str = "matrix") -> np.ndarray:
     if pairs.shape != (rows * cols, 2):
         raise DimensionError(f"{name}: data has shape {pairs.shape}, expected "
                              f"rows*cols = {rows * cols} [re, im] pairs")
+    # numpy reads "1.5" and true as numbers; JSON's strings and booleans are not
+    if not {*map(type, chain.from_iterable(data))}.isdisjoint((str, bool)):
+        raise DimensionError(f"{name}: data must hold [re, im] number pairs, "
+                             "not strings or booleans")
     if not np.all(np.isfinite(pairs)):
         raise DimensionError(f"{name}: non-finite entries (null, NaN or infinity)")
     return pairs.view(np.complex128).reshape(rows, cols)
@@ -138,9 +145,72 @@ def recovery_to_dict(res: RecoveryResult) -> dict:
     }
 
 
+_MARK = "\x00"  # a grid's stand-in: json writes it as "\u0000"
+
+
+def _is_grid(text: str, k: int) -> bool:
+    """Whether ``text``, the compact JSON of a list of ``k`` lists, is a list
+    of k nonempty lists of numbers (or null, true, false).
+
+    With no '"' and no '{' the text holds no string and no object, so only
+    scalars, brackets and ", " are left, and no scalar contains ", " or a
+    bracket. Starting "[[" and ending "]]", with k + 1 "[" of which k - 1
+    follow a "], ", every "[" after the first two opens an element right after
+    the previous one closed: the k elements are flat lists, none empty."""
+    return (text.startswith("[[") and text.endswith("]]")
+            and '"' not in text and "{" not in text and "[]" not in text
+            and text.count("[") == k + 1 and text.count("], [") == k - 1)
+
+
+def _lay_out(grid: str, indent: str) -> str:
+    """The compact text of a grid (see :func:`_is_grid`) as ``indent=2`` lays
+    it out for a value on a line indented by ``indent``."""
+    inner, leaf = indent + "  ", indent + "    "
+    body = (grid[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{leaf}")
+            .replace(", ", ",\n" + leaf))
+    return f"[\n{inner}[\n{leaf}{body}\n{inner}]\n{indent}]"
+
+
+def _encode(obj) -> str:
+    """``json.dumps(obj, indent=2)``, with each grid, such as a matrix's
+    ``data``, encoded by one call to json's C encoder and laid out by string
+    operations; ``indent`` sends everything else through the pure-Python one.
+
+    Both encoders write a number as its ``repr`` and the same NaN and
+    Infinity words, so the bytes are the same. Each grid is swapped for
+    :data:`_MARK`; if the text holds any other ``\\u0000`` (a string of
+    ``obj`` had one), ``obj`` is encoded plainly, as it is when it holds a
+    cycle, so that json raises its own error. The text is whole before the
+    file is opened: an object that cannot be encoded leaves no file.
+    """
+    grids = []
+
+    def swap(o, level):  # level: of the line o starts on, 2 spaces each
+        if isinstance(o, dict):
+            return {k: swap(v, level + 1) for k, v in o.items()}
+        if isinstance(o, list):
+            if o and isinstance(o[0], list):
+                text = json.dumps(o)
+                if _is_grid(text, len(o)):
+                    grids.append(_lay_out(text, "  " * level))
+                    return _MARK
+            return [swap(v, level + 1) for v in o]
+        return o
+
+    try:
+        text = json.dumps(swap(obj, 0), indent=2)
+    except RecursionError:  # a cycle: json names it, or a nesting json cannot take
+        return json.dumps(obj, indent=2)
+    if text.count("\\u0000") != len(grids):
+        return json.dumps(obj, indent=2)
+    pieces = text.split(json.dumps(_MARK))
+    return "".join([*chain.from_iterable(zip(pieces, grids)), pieces[-1]])
+
+
 def dump_json(obj: dict | list, path) -> None:
+    text = _encode(obj)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        fh.write(text)
         fh.write("\n")
 
 

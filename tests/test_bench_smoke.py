@@ -46,6 +46,19 @@ def test_traced_sparse_enum_smoke_run_is_correct():
     assert result["failed"] == 0
 
 
+def test_traced_recover_large_smoke_run_is_correct():
+    # the tracer wraps the JSON readers and writers that the CLI ops call
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "recover-large",
+         "--smoke", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["serialize.dump_json.bytes"]["value"] > 0
+
+
 def test_traced_names_resolve_to_functions():
     # the traced run wraps each TARGETS name on its bgpc module, so a
     # renamed or deleted function would otherwise surface only there

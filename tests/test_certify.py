@@ -276,6 +276,12 @@ class TestCertifyJointSparse:
         with pytest.raises(BudgetExceededError):
             certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 3, max_cells=10)
 
+    def test_negative_tolerance_refused_before_any_svd(self, svd_calls):
+        inst = random_instance(20, 12, 3, seed=17, sparsity=3)
+        with pytest.raises(ValueError, match="tolerance must be a nonnegative"):
+            certify_joint_sparse(inst.A, inst.X0, inst.lambda0, 3, tol=-1.0)
+        assert svd_calls == []
+
     @pytest.mark.parametrize("s", [0, -1, 9])
     def test_sparsity_out_of_range(self, s):
         inst = random_instance(20, 8, 2, seed=17, sparsity=3)

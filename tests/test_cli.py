@@ -77,6 +77,20 @@ class TestCertifyPipeline:
                    "--s", s) == EXIT_INPUT_ERROR
         assert "requires 1 <= s <= m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify-sparse", "recover-sparse"])
+    def test_negative_tolerance_before_the_cell_budget(self, tmp_path, capsys,
+                                                        command):
+        paths = {k: str(tmp_path / f"{k}.json") for k in ("inst", "Y", "A")}
+        run("gen", "--n", "20", "--m", "12", "--N", "3", "--s", "3",
+            "--seed", "1", "--out", paths["inst"], "--y-out", paths["Y"],
+            "--a-out", paths["A"])
+        data = (["--instance", paths["inst"]] if command == "certify-sparse"
+                else ["--Y", paths["Y"], "--A", paths["A"], "--s", "3"])
+        assert run(command, *data, "--tol", "-1",
+                   "--max-cells", "10") == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "error: tolerance must be a nonnegative real")
+
 
 class TestRecoverPipeline:
     def test_end_to_end(self, tmp_path, capsys):
@@ -330,6 +344,33 @@ def test_each_subcommand_accepts_exactly_its_flags():
                  for a in sub._actions for opt in a.option_strings
                  if opt not in ("-h", "--help")}
         assert flags == FLAGS[name], name
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_are_fresh(self, tmp_path, monkeypatch):
+        # a flag of the first call must not reach the second, and BGPC_TOL
+        # is read when a command runs, not when the parser was built
+        inst, Y = tmp_path / "inst.json", tmp_path / "Y.json"
+        assert run("gen", "--n", "8", "--m", "4", "--N", "2", "--seed", "1",
+                   "--out", str(inst), "--y-out", str(Y)) == 0
+        Y.unlink()
+        assert run("gen", "--n", "8", "--m", "4", "--N", "2", "--seed", "2",
+                   "--out", str(inst)) == 0
+        assert not Y.exists() and load_json(inst)["n"] == 8
+        rep = tmp_path / "rep.json"
+        assert run("certify", "--instance", str(inst), "--out", str(rep)) == 0
+        assert load_json(rep)["tolerance_used"] < 1e-9
+        monkeypatch.setenv("BGPC_TOL", "1e6")
+        assert run("certify", "--instance", str(inst),
+                   "--out", str(rep)) == EXIT_NOT_CERTIFIED
+        assert load_json(rep)["tolerance_used"] == 1e6
+        ci = tmp_path / "ci.json"
+        assert run("construct", "--n", "8", "--m", "4", "--N", "2",
+                   "--out", str(ci)) == 0
+        assert run("verify-construct", "--in", str(ci)) == EXIT_NOT_CERTIFIED
 
 
 class TestMalformedInstanceFiles:

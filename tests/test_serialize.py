@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bgpc import (certify_subspace, construct_claim1, construct_claim2,
-                  forward, random_instance, recover, verify_claim1_rank)
+from bgpc import (SweepConfig, certify_joint_sparse, certify_subspace,
+                  construct_claim1, construct_claim2, forward, random_instance,
+                  recover, run_sweep, verify_claim1_rank)
 from bgpc.errors import DimensionError
 from bgpc.serialize import (constructed_from_dict, constructed_to_dict,
-                            instance_from_dict, instance_to_dict,
+                            dump_json, instance_from_dict, instance_to_dict,
                             matrix_from_dict, matrix_to_dict, recovery_to_dict,
                             report_to_dict, verification_to_dict)
 
@@ -144,6 +146,8 @@ MALFORMED_MATRICES = [
     ("triple", {**GOOD, "data": [[1, 0, 0]]}, "shape"),
     ("nested-too-deep", {**GOOD, "data": [[[1, 0]]]}, "shape"),
     ("huge-integer", {**GOOD, "data": [[10 ** 400, 0]]}, "[re, im]"),
+    ("string-entry", {**GOOD, "data": [["1.5", 2.0]]}, "not strings or booleans"),
+    ("boolean-entry", {**GOOD, "data": [[True, 2.0]]}, "not strings or booleans"),
     ("rows-fraction", {**GOOD, "rows": 1.7}, "rows and cols"),
     ("rows-true", {**GOOD, "rows": True}, "rows and cols"),
     ("rows-zero", {"rows": 0, "cols": 1, "data": []}, "rows and cols"),
@@ -296,3 +300,85 @@ class TestReportFormats:
         assert d["status"] == "Unique" and d["null_dim"] == 1
         np.testing.assert_array_equal(
             matrix_from_dict(d["X"]), res.X)
+
+
+# doubles whose text is an edge case of float repr: signed zero, the least
+# subnormal, the switch to exponent notation and the ends of the range
+EDGE_PAIRS = [[-0.0, 5e-324], [1e16, -1e300], [1e-300, 1e300], [-1e-320, 0.0]]
+
+
+def with_edge_values(obj):
+    """obj with the first pairs of every matrix's data set to EDGE_PAIRS."""
+    if isinstance(obj, dict):
+        obj = {k: with_edge_values(v) for k, v in obj.items()}
+        if set(obj) == {"rows", "cols", "data"}:
+            k = min(len(obj["data"]), len(EDGE_PAIRS))
+            obj["data"] = EDGE_PAIRS[:k] + obj["data"][k:]
+    return obj
+
+
+def sweep_list():
+    cfg = SweepConfig(mode="Subspace", n=10, dim_range=[3, 8], N_range=[2],
+                      trials=2, base_seed=7, record_timing=False)
+    return [asdict(c) for c in run_sweep(cfg)]
+
+
+def written_records():
+    inst = random_instance(12, 5, 3, seed=1)
+    sparse = random_instance(16, 8, 2, seed=2, sparsity=3)
+    below = random_instance(8, 6, 2, seed=1)
+    yield "matrix", matrix_to_dict(inst.A)
+    yield "1x1", matrix_to_dict(np.array([[1 + 2j]]))
+    yield "vector", matrix_to_dict(inst.lambda0)
+    yield "dense-instance", instance_to_dict(inst)
+    yield "sparse-instance", instance_to_dict(sparse)
+    yield "claim2", constructed_to_dict(
+        construct_claim2(12, 8, 3, 2, [1, 4, 6], [0, 4, 7]))
+    yield "report", report_to_dict(certify_subspace(inst.A, inst.X0, inst.lambda0))
+    yield "sparse-report", report_to_dict(certify_joint_sparse(
+        sparse.A, sparse.X0, sparse.lambda0, 3))
+    yield "verification", verification_to_dict(
+        verify_claim1_rank(construct_claim1(8, 4, 2)))
+    yield "recovery", recovery_to_dict(recover(forward(inst), inst.A))
+    yield "recovery-nulls", recovery_to_dict(recover(forward(below), below.A))
+    yield "sweep", sweep_list()
+
+
+@pytest.mark.parametrize("name, obj", list(written_records()),
+                         ids=[name for name, _ in written_records()])
+def test_written_bytes_match_json_dump_indent_2(tmp_path, name, obj):
+    # dump_json lays matrices out by string operations; the bytes must stay
+    # those of json's own indent=2 writer
+    obj = with_edge_values(obj)
+    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    dump_json(obj, ours)
+    with open(ref, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("obj", [
+    {"note": "\x00", "A": matrix_to_dict(np.eye(2))},  # a grid's stand-in
+    {"M": [[1.0, "a, b"], [2.0, 3.0]]},
+    {"M": [[1.0, 2.0], []]},
+    {"M": [[[1.0, 2.0]], [3.0]]},
+    [[1, None, True], [float("nan"), float("inf"), -float("inf")]],
+    [[{"re": 1.0}], [2.0]],
+], ids=["mark-in-a-string", "string-in-grid", "empty-row", "ragged-depth",
+        "literals", "object-in-grid"])
+def test_written_bytes_match_json_dump_off_the_matrix_path(tmp_path, obj):
+    path = tmp_path / "out.json"
+    dump_json(obj, path)
+    assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_unencodable_object_raises_as_json_does_and_writes_nothing(tmp_path):
+    cycle = {"data": [[1.0, 2.0]]}
+    cycle["self"] = cycle
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="Circular reference"):
+        dump_json(cycle, path)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_json({"M": [[1.0, np.float32(2.0)]]}, path)
+    assert not path.exists()
