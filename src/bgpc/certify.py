@@ -83,7 +83,8 @@ import numpy as np
 from .cxmat import (EPS, SCREEN_SAFETY, as_cmatrix, check_tolerance, clears,
                     default_cutoff, numeric_rank, pow2_scaled)
 from .errors import DimensionError
-from .model import DEFAULT_CELL_BUDGET, check_cell_budget, support_cells
+from .model import (DEFAULT_CELL_BUDGET, check_cell_budget, gain_count_suffices,
+                    support_cells)
 
 SUBSPACE = "Subspace"
 JOINT_SPARSE = "JointSparse"
@@ -107,6 +108,13 @@ class CertificateReport:
     tolerance_used: float
     support_cells_checked: int | None = None
     failing_support: tuple[int, ...] | None = None
+
+
+def _report(mode: str, cond1: bool, cond2: bool, *rest) -> CertificateReport:
+    """The report of a certificate: identifiable when conditions 1 and 2 both
+    hold; ``rest`` holds the fields from ``stacked_rank`` on, in order."""
+    verdict = IDENTIFIABLE if cond1 and cond2 else NOT_CERTIFIED
+    return CertificateReport(mode, verdict, cond1, cond2, *rest)
 
 
 def build_D_stack(A, X0) -> np.ndarray:
@@ -254,7 +262,6 @@ def _stacked_rank(A, X0, tol: float | None = None) -> tuple[int, float]:
     ||S||_F, a bound on the default cutoff; the tolerance is then ``tol`` or
     that bound. Otherwise S is built and factored by one SVD.
     """
-    check_tolerance(tol)
     n, m = A.shape
     N = X0.shape[1]
     if 1 + (n - m) * (N - 1) >= m:  # else T is wide: rank(S) < mN
@@ -274,21 +281,12 @@ def certify_subspace(A, X0, lambda0, tol: float | None = None) -> CertificateRep
     the singular values of the certificate matrix built from the scaled pair.
     Condition 1 is decided by :func:`_stacked_rank`.
     """
+    check_tolerance(tol)
     A, X0, lambda0 = _normalized(A, X0, lambda0)
     m, N = X0.shape
     cond2 = _lambda_uniqueness(A, X0, lambda0)
     rank, tolerance = _stacked_rank(A, X0, tol)
-    cond1 = rank == m * N
-    verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
-    return CertificateReport(
-        mode=SUBSPACE,
-        verdict=verdict,
-        condition1_rank_full=cond1,
-        condition2_lambda_unique=cond2,
-        stacked_rank=rank,
-        required_rank=m * N,
-        tolerance_used=tolerance,
-    )
+    return _report(SUBSPACE, rank == m * N, cond2, rank, m * N, tolerance)
 
 
 def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
@@ -310,13 +308,11 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
     bound on rounding), every cell inside J' passes. The cells come from
     :func:`bgpc.model.support_cells`, which skips the subtree below a column
     set K when J' = J0 union K is so clear; its root K is every column,
-    where S_J' = S. A node is declined unfactored if (n - |J'|) min(N, s)
-    < n - 1: the rows of the gain system G = [Q_perp^H diag(w_j)]_j of
-    :mod:`bgpc.recover` then span at most (n - |J'|) rank(A X0) dimensions,
-    leaving G a null space of dimension two or more, so S_J' is short of
-    full rank. Every J' holds J0, so once a factored node is not clear, S_J0
-    is factored; if it is not clear either, no node is, and none is factored
-    again. If no cell fails, the report is the last cell's.
+    where S_J' = S. A node is declined unfactored when
+    :func:`bgpc.model.gain_count_suffices` fails at k = |J'|, as S_J' is
+    then short of full rank. Every J' holds J0, so once a factored node is
+    not clear, S_J0 is factored; if it is not clear either, no node is, and
+    none is factored again. If no cell fails, the report is the last cell's.
     """
     check_tolerance(tol)
     A, X0, lambda0 = _normalized(A, X0, lambda0)
@@ -348,7 +344,7 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
 
     def screen(K):  # () when every cell inside K passes, else None
         nonlocal J0_clear
-        if J0_clear is False or (n - len(J0.union(K))) * min(N, s) < n - 1:
+        if J0_clear is False or not gain_count_suffices(n, len(J0.union(K)), s, N):
             return None
         ok = clear(*cell(K))
         if not ok and J0_clear is None:
@@ -366,16 +362,5 @@ def certify_joint_sparse(A, X0, lambda0, s: int, tol: float | None = None,
         if J1 != tuple(range(m - s, m)):  # the walk skipped the last cell
             J, rr = cell(range(m - s, m))
         checked = comb(m, s)
-    cond1 = failing is None
-    verdict = IDENTIFIABLE if (cond1 and cond2) else NOT_CERTIFIED
-    return CertificateReport(
-        mode=JOINT_SPARSE,
-        verdict=verdict,
-        condition1_rank_full=cond1,
-        condition2_lambda_unique=cond2,
-        stacked_rank=rr.numeric_rank,
-        required_rank=len(J) * N,
-        tolerance_used=rr.tolerance_used,
-        support_cells_checked=checked,
-        failing_support=failing,
-    )
+    return _report(JOINT_SPARSE, failing is None, cond2, rr.numeric_rank,
+                   len(J) * N, rr.tolerance_used, checked, failing)

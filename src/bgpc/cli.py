@@ -42,12 +42,13 @@ def _tol_from_env(args_tol):
 def _cmd_gen(args) -> int:
     inst = model.random_instance(args.n, args.m, args.N, args.seed,
                                  sparsity=args.s)
-    serialize.dump_json(serialize.instance_to_dict(inst), args.out)
+    record = serialize.instance_to_dict(inst)
+    serialize.dump_json(record, args.out)
     if args.y_out:
         serialize.dump_json(serialize.matrix_to_dict(model.forward(inst)),
                             args.y_out)
     if args.a_out:
-        serialize.dump_json(serialize.matrix_to_dict(inst.A), args.a_out)
+        serialize.dump_json(record["A"], args.a_out)
     return EXIT_OK
 
 
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, InfeasibleConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ValueError, InconsistentSystemError, OSError, KeyError) as exc:
+    except (ValueError, InconsistentSystemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -21,12 +21,12 @@ Column indices are 0-based here; serialization shifts to 1-based labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certify import build_stacked
-from .cxmat import dft_matrix, numeric_rank
+from .cxmat import check_tolerance, dft_matrix, numeric_rank
 from .errors import DimensionError, InfeasibleConstructionError
 
 
@@ -97,6 +97,7 @@ def verify_claim1_rank(ci: ConstructedInstance,
     construction, so D cannot have full column rank. D is factored only
     when rank(S) < mN.
     """
+    check_tolerance(tol)
     n, m, N = ci.n, ci.m, ci.N
     S = build_stacked(ci.A, ci.X0)
     rr = numeric_rank(S, tol=tol)
@@ -150,11 +151,4 @@ def construct_claim2(n: int, m: int, s: int, N: int,
     X0 = np.zeros_like(base.X0)
     A[:, perm] = base.A
     X0[perm, :] = base.X0
-    return ConstructedInstance(
-        n=n, m=ell, N=N,
-        selected_cols=base.selected_cols,
-        complement_cols=base.complement_cols,
-        A=A, X0=X0,
-        expected_left_null_dim=base.expected_left_null_dim,
-        row_order=tuple(perm),
-    )
+    return replace(base, A=A, X0=X0, row_order=tuple(perm))

@@ -116,5 +116,6 @@ def dft_matrix(n: int) -> np.ndarray:
 
 def numeric_rank(M, tol: float | None = None) -> RankResult:
     """Numeric rank of M: one SVD, then :func:`rank_decision`."""
+    check_tolerance(tol)
     M = as_cmatrix(M)
     return rank_decision(np.linalg.svd(M, compute_uv=False), M.shape, tol)

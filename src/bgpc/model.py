@@ -130,6 +130,20 @@ def check_cell_budget(m: int, s: int, max_cells: int) -> None:
             f"support enumeration needs {n_cells} cells, budget is {max_cells}")
 
 
+def gain_count_suffices(n: int, k: int, s: int, N: int) -> bool:
+    """Whether (n - k) min(N, s) >= n - 1: the count of gain equations on k
+    dictionary columns against the n - 1 unknowns of the gains up to scale.
+
+    On k columns of full rank the gain system G = [Q_perp^H diag(y_j)]_j of
+    :mod:`bgpc.recover` has n - k rows per snapshot, linear in y_j, so its
+    rows span at most (n - k) rank(Y) dimensions; under the model Y has
+    rank at most min(N, s). When the count fails, G has a null space of
+    dimension two or more, and with W = A X0 for Y the certificate matrix
+    on those columns is short of full rank.
+    """
+    return (n - k) * min(N, s) >= n - 1
+
+
 def support_cells(m: int, s: int, screen):
     """The s-subsets of range(m) as tuples, in lexicographic order, less
     those a screen rules out. Below a node with chosen columns ``prefix``

@@ -30,7 +30,7 @@ from .cxmat import (SCREEN_SAFETY, as_cmatrix, check_tolerance, clears,
                     default_cutoff, rank_decision)
 from .errors import DimensionError, InconsistentSystemError
 from .model import (DEFAULT_CELL_BUDGET, align_scale, check_cell_budget,
-                    support_cells)
+                    gain_count_suffices, support_cells)
 
 UNIQUE = "Unique"
 AMBIGUOUS = "Ambiguous"
@@ -211,10 +211,8 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
 
     A counts when:
     - (n - m) N >= n, so every G_J has at least n rows;
-    - (n - m) min(N, s) >= n - 1, certify's count. Under the model Y has
-      at most min(N, s) independent columns, each fixing n - m directions
-      of gamma, so a smaller count leaves G a null space of dimension two
-      or more. Off the model G may still have full rank, and tau alone
+    - :func:`bgpc.model.gain_count_suffices` holds at k = m. Off the
+      model G may still have full rank where it fails, and tau alone
       would rule out every cell; such a node is passed over unfactored
       all the same, since on the model its two SVDs would be wasted;
     - c clears ``SCREEN_SAFETY`` times ``bound``, checked before any SVD.
@@ -240,7 +238,7 @@ def _root_screen(Y: np.ndarray, A: np.ndarray, s: int, y_max: float,
     """
     n, N = Y.shape
     m = A.shape[1]
-    if ((n - m) * N < n or (n - m) * min(N, s) < n - 1
+    if ((n - m) * N < n or not gain_count_suffices(n, m, s, N)
             or not clears(y_max, SCREEN_SAFETY * bound)):
         return None
     U, sA, Vh, _, G = _gamma_system(Y, A)
@@ -331,13 +329,13 @@ def recover_joint_sparse(Y, A, s: int, tol: float | None = None,
             continue
         X = np.zeros((m, N), dtype=np.complex128)
         X[list(J), :] = XJ
-        hits.append((J, X, gamma))
+        # with [vec(X); gamma], the vector scale equivalence is judged on
+        hits.append((J, X, gamma,
+                     np.concatenate([X.flatten(order="F"), gamma])[None, :]))
     if not hits:
         return RecoveryResult(status=AMBIGUOUS, null_dim=max_null)
-    J_ref, X_ref, g_ref = hits[0]
-    ref = np.concatenate([X_ref.flatten(order="F"), g_ref])[None, :]
-    for _, X, gamma in hits[1:]:
-        cand = np.concatenate([X.flatten(order="F"), gamma])[None, :]
+    J_ref, X_ref, g_ref, ref = hits[0]
+    for *_, cand in hits[1:]:
         if not align_scale(cand, ref).relative_error <= EQUIVALENCE_TOL:
             return RecoveryResult(status=AMBIGUOUS, null_dim=1)
     return RecoveryResult(status=UNIQUE, null_dim=1, gamma=g_ref,

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bgpc.cli import main
 from bgpc.serialize import load_json, matrix_from_dict
@@ -25,6 +26,20 @@ def load_bench_module(name):
 def test_recover_large_smoke_run_is_correct():
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "recover-large",
+         "--smoke", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["phase-sweep", "construct-grid"])
+def test_untraced_smoke_run_is_correct(workload):
+    # phase-sweep runs its certificates through bgpc sweep, construct-grid
+    # through verify_claim1_rank
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--smoke", "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -148,6 +148,15 @@ class TestCertifySubspace:
         with pytest.raises(DimensionError):
             certify_subspace(inst.A, inst.X0, inst.lambda0)
 
+    @pytest.mark.parametrize("N", [2, 1])
+    def test_negative_tolerance_refused_first(self, svd_calls, N):
+        # as in certify_joint_sparse: before any SVD, and before the refusal
+        # of a single snapshot
+        inst = random_instance(8, 4, N, seed=7)
+        with pytest.raises(ValueError, match="tolerance must be a nonnegative"):
+            certify_subspace(inst.A, inst.X0, inst.lambda0, tol=-1.0)
+        assert svd_calls == []
+
     def test_scaling_invariance_of_verdict(self):
         rng = np.random.default_rng(8)
         for seed in range(30):

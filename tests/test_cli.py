@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bgpc import random_instance, serialize
 from bgpc.cli import EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, build_parser, main
 from bgpc.serialize import (constructed_to_dict, dump_json, load_json,
                             matrix_to_dict)
@@ -422,6 +423,41 @@ class TestErrors:
         run("gen", "--n", "6", "--m", "3", "--N", "2", "--seed", "9",
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gen_a_out_is_the_instance_record_of_A(self, tmp_path, monkeypatch):
+        # A's record is built once, for the instance file, and --a-out
+        # writes that same record: the bytes of a separate encoding of A
+        inst, Y, A = (tmp_path / f"{k}.json" for k in ("inst", "Y", "A"))
+        built = []
+        monkeypatch.setattr(serialize, "matrix_to_dict",
+                            lambda M: built.append(M) or matrix_to_dict(M))
+        assert run("gen", "--n", "12", "--m", "5", "--N", "3", "--seed", "4",
+                   "--out", str(inst), "--y-out", str(Y), "--a-out", str(A)) == 0
+        assert len(built) == 4  # lambda0, X0 and A of the instance, then Y
+        expected = tmp_path / "expected.json"
+        dump_json(matrix_to_dict(random_instance(12, 5, 3, seed=4).A), expected)
+        assert A.read_bytes() == expected.read_bytes()
+
+    def test_key_error_in_a_handler_propagates(self, tmp_path, monkeypatch):
+        # every reader names a bad field in a DimensionError, so a KeyError
+        # is a fault of the program and is not reported as an input error
+        def broken(path):
+            raise KeyError("rows")
+        monkeypatch.setattr(serialize, "load_json", broken)
+        with pytest.raises(KeyError, match="rows"):
+            run("certify", "--instance", str(tmp_path / "inst.json"))
+
+    def test_negative_tolerance_in_verify_construct(self, tmp_path, capsys,
+                                                    svd_calls):
+        ci = tmp_path / "ci.json"
+        assert run("construct", "--n", "16", "--m", "12", "--N", "4",
+                   "--out", str(ci)) == 0
+        capsys.readouterr()
+        assert run("verify-construct", "--in", str(ci),
+                   "--tol", "-1") == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: tolerance must be a nonnegative real, got -1.0\n")
+        assert svd_calls == []
 
     @pytest.mark.parametrize("env, flag, code, rank", [
         ("1e6", None, 2, 0),  # absurdly large tolerance kills the rank condition

@@ -186,6 +186,11 @@ class TestVerifyRanks:
         rec = verify_claim1_rank(ci, tol=1e6)
         assert (rec.stacked_rank, rec.tolerance_used, rec.passed) == (0, 1e6, False)
 
+    def test_negative_tolerance_refused_before_any_svd(self, svd_calls):
+        with pytest.raises(ValueError, match="tolerance must be a nonnegative"):
+            verify_claim1_rank(construct_claim1(128, 96, 8), tol=-1.0)
+        assert svd_calls == []
+
     @pytest.mark.parametrize("c", [1.0, 1e-200, 1e-160, 1e160, 1e200])
     @pytest.mark.parametrize("n, N, selected", [
         (12, 3, (0, 1, 2, 5, 6, 7)), (16, 4, (0, 1, 2, 3, 6, 7, 8, 9, 12))])

@@ -94,11 +94,12 @@ class TestRankDecision:
         s = np.array([7.0, 2.0])
         assert rank_decision(s, (9, 2)).tolerance_used == default_cutoff((9, 2), 7.0)
 
-    def test_negative_tolerance_rejected(self):
+    def test_negative_tolerance_rejected(self, svd_calls):
         with pytest.raises(ValueError):
             rank_decision(np.array([1.0]), (1, 1), tol=-1e-12)
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), tol=-1.0)
+        assert svd_calls == []  # numeric_rank refuses before its SVD
 
     @pytest.mark.parametrize("tol", [float("nan"), "1e-3", True, 1j])
     def test_non_real_or_nan_tolerance_rejected(self, tol):

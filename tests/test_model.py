@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bgpc import (BGPCInstance, DimensionError, align_scale, forward,
                   min_samples_joint_sparse, min_samples_subspace,
                   random_instance)
-from bgpc.model import support_cells
+from bgpc.model import gain_count_suffices, support_cells
 
 
 def forward_oracle(inst):
@@ -182,6 +182,17 @@ class TestAlignScale:
         al = align_scale(E, T * 1e-300)
         assert al.relative_error == np.inf
         assert not al.relative_error <= 1e-6
+
+
+@pytest.mark.parametrize("n, m, s, N, k, suffices", [
+    (16, 14, 7, 8, 14, False),  # README's corner: 2 * 7 = 14 < 15
+    (20, 12, 3, 3, 12, True),   # the sparse-enum root: 8 * 3 = 24 >= 19
+    (20, 12, 3, 2, 12, False),  # a declined root: 8 * 2 = 16 < 19
+    (20, 12, 3, 2, 9, True),    # the same instance at a 9-column node: 22 >= 19
+])
+def test_gain_count(n, m, s, N, k, suffices):
+    assert k <= m
+    assert gain_count_suffices(n, k, s, N) is suffices
 
 
 def walk_shapes():
