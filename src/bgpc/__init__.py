@@ -15,7 +15,7 @@ from .construct import (ConstructedInstance, VerificationRecord,
                         verify_claim1_rank)
 from .cxmat import RankResult, dft_matrix, numeric_rank
 from .errors import (BgpcError, BudgetExceededError, DimensionError,
-                     InconsistentSystemError, InfeasibleConstructionError)
+                     InfeasibleConstructionError)
 from .experiment import PhaseCell, SweepConfig, run_sweep, write_csv, write_json
 from .model import (BGPCInstance, ScaleAlignment, align_scale, forward,
                     min_samples_joint_sparse, min_samples_subspace,
@@ -26,10 +26,10 @@ from .recover import (AMBIGUOUS, DEGENERATE_GAMMA, RecoveryResult, UNIQUE,
 __all__ = [
     "AMBIGUOUS", "BGPCInstance", "BgpcError", "BudgetExceededError",
     "CertificateReport", "ConstructedInstance", "DEGENERATE_GAMMA",
-    "DimensionError", "IDENTIFIABLE", "InconsistentSystemError",
-    "InfeasibleConstructionError", "JOINT_SPARSE", "NOT_CERTIFIED",
-    "PhaseCell", "RankResult", "RecoveryResult", "SUBSPACE", "ScaleAlignment",
-    "SweepConfig", "UNIQUE", "VerificationRecord", "align_scale",
+    "DimensionError", "IDENTIFIABLE", "InfeasibleConstructionError",
+    "JOINT_SPARSE", "NOT_CERTIFIED", "PhaseCell", "RankResult",
+    "RecoveryResult", "SUBSPACE", "ScaleAlignment", "SweepConfig", "UNIQUE",
+    "VerificationRecord", "align_scale",
     "build_D_stack", "build_stacked", "certify_joint_sparse", "certify_subspace",
     "construct_claim1", "construct_claim2", "dft_matrix", "forward",
     "min_samples_joint_sparse", "min_samples_subspace", "numeric_rank",

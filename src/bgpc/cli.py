@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 input error, 2 not-certified / ambiguous verdict,
-3 feasibility or enumeration-budget refusal. The environment variable
-BGPC_TOL overrides the default rank tolerance for all subcommands; in
-recovery it cuts the reduced gamma system, never rank(A).
+Exit codes: 0 success, 1 input error, 2 not-certified / ambiguous verdict
+(recovery data that no gamma fits is Ambiguous, null dim 0), 3 feasibility
+or enumeration-budget refusal. The environment variable BGPC_TOL
+overrides the default rank tolerance for all subcommands; in recovery it
+cuts the reduced gamma system, never rank(A).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .recover import UNIQUE as RECOVERY_UNIQUE
 from .recover import recover as run_recovery
 from .recover import recover_joint_sparse as run_recovery_sparse
 from .errors import (BudgetExceededError, DimensionError,
-                     InconsistentSystemError, InfeasibleConstructionError)
+                     InfeasibleConstructionError)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, InfeasibleConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ValueError, InconsistentSystemError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

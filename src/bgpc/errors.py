@@ -15,7 +15,3 @@ class InfeasibleConstructionError(BgpcError, ValueError):
 
 class BudgetExceededError(BgpcError, RuntimeError):
     """A support enumeration would exceed the configured cell budget."""
-
-
-class InconsistentSystemError(BgpcError, RuntimeError):
-    """The homogeneous recovery system has no null vector at the working tolerance."""

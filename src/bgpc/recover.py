@@ -28,7 +28,7 @@ import numpy as np
 
 from .cxmat import (SCREEN_SAFETY, as_cmatrix, check_tolerance, clears,
                     default_cutoff, rank_decision)
-from .errors import DimensionError, InconsistentSystemError
+from .errors import DimensionError
 from .model import (DEFAULT_CELL_BUDGET, align_scale, check_cell_budget,
                     gain_count_suffices, support_cells)
 
@@ -120,12 +120,10 @@ def _degenerate(gamma: np.ndarray) -> bool:
 
 
 def recover(Y, A, tol: float | None = None) -> RecoveryResult:
-    """Recover (lambda, X) from consistent measurements, up to global scale."""
+    """Recover (lambda, X) from (Y, A) up to global scale; no gamma fitting Y
+    is Ambiguous with null_dim 0, as in :func:`recover_joint_sparse`."""
     Y, A = _as_pair(Y, A, tol)
     null_dim, gamma, X = _solve_gamma(Y, A, tol)
-    if null_dim == 0:
-        raise InconsistentSystemError(
-            "recovery system has trivial null space; Y is not consistent with A")
     if gamma is None:
         return RecoveryResult(status=AMBIGUOUS, null_dim=null_dim)
     if _degenerate(gamma):

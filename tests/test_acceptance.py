@@ -14,7 +14,6 @@ from bgpc import (IDENTIFIABLE, SweepConfig, align_scale, certify_subspace,
                   verify_claim1_rank)
 from bgpc.certify import SUBSPACE, build_D_stack
 from bgpc.cxmat import dft_matrix
-from bgpc.errors import InconsistentSystemError
 from bgpc.experiment import cells_to_csv
 from bgpc.recover import UNIQUE
 
@@ -85,6 +84,21 @@ def test_criterion_3b_joint_sparse_certificate_transition():
     _ok("3b joint-sparse certificate transition", "(21 cells x 2 trials)")
 
 
+def test_criterion_3c_joint_sparse_wide_dictionary():
+    """n = 10, s = 3, m = 14 and 16 > n: the certificate's rate is 0 below
+    the threshold ceil(9 / (10 - 6)) = 3 and 1 at or above it."""
+    for m in (14, 16):
+        cfg = SweepConfig(mode="JointSparse", n=10, m=m, dim_range=[3],
+                          N_range=[2, 3, 4], trials=4, base_seed=42,
+                          record_timing=False)
+        cells = run_sweep(cfg)
+        assert [(c.N, c.threshold_met) for c in cells] == [
+            (2, False), (3, True), (4, True)]
+        for c in cells:
+            assert c.rate == (1.0 if c.threshold_met else 0.0), c
+    _ok("3c joint-sparse certificate, m > n", "(6 cells x 4 trials)")
+
+
 def test_criterion_4_certificate_recovery_agreement():
     """Certificate verdict equals (recovery null dim == 1) in 400 cases."""
     cases = 0
@@ -92,12 +106,8 @@ def test_criterion_4_certificate_recovery_agreement():
         for seed in range(200):
             inst = random_instance(12, m, 2, seed=seed)
             rep = certify_subspace(inst.A, inst.X0, inst.lambda0)
-            try:
-                res = recover(forward(inst), inst.A)
-                unique_null = res.null_dim == 1
-            except InconsistentSystemError:
-                unique_null = False
-            assert (rep.verdict == IDENTIFIABLE) == unique_null, (m, seed)
+            res = recover(forward(inst), inst.A)
+            assert (rep.verdict == IDENTIFIABLE) == (res.null_dim == 1), (m, seed)
             cases += 1
     assert cases == 400
     _ok("4 certificate/recovery oracle agreement", "(400 instances)")

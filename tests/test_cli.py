@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from bgpc import random_instance, serialize
-from bgpc.cli import EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, build_parser, main
+from bgpc.cli import (EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, EXIT_REFUSED,
+                      build_parser, main)
+from bgpc.errors import (BgpcError, BudgetExceededError, DimensionError,
+                         InfeasibleConstructionError)
 from bgpc.serialize import (constructed_to_dict, dump_json, load_json,
                             matrix_to_dict)
 
@@ -133,15 +136,21 @@ class TestRecoverPipeline:
             "--out", str(inst), "--y-out", str(Y), "--a-out", str(A))
         assert run("recover", "--Y", str(Y), "--A", str(A)) == 2
 
-    def test_inconsistent_Y_exit_1(self, tmp_path, capsys):
-        # a Y that no gamma maps into range(A) is an input error
+    def test_inconsistent_Y_exit_2(self, tmp_path, capsys):
+        # a Y that no gamma maps into range(A) is an ambiguous verdict with
+        # null dim 0, as recover-sparse reports it, not an input error
         A = tmp_path / "A.json"
         Y = tmp_path / "Y.json"
+        out = tmp_path / "res.json"
         run("gen", "--n", "8", "--m", "4", "--N", "2", "--seed", "2",
             "--out", str(tmp_path / "inst.json"), "--a-out", str(A))
         dump_json(matrix_to_dict(np.random.default_rng(2).standard_normal((8, 2))), Y)
-        assert run("recover", "--Y", str(Y), "--A", str(A)) == EXIT_INPUT_ERROR
-        assert "trivial null space" in capsys.readouterr().err
+        assert run("recover", "--Y", str(Y), "--A", str(A),
+                   "--out", str(out)) == EXIT_NOT_CERTIFIED
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("recovery: Ambiguous (null dim 0)\n", "")
+        d = load_json(out)
+        assert (d["status"], d["null_dim"]) == ("Ambiguous", 0)
 
     def test_negative_env_tolerance_is_input_error(self, tmp_path, monkeypatch):
         inst = tmp_path / "inst.json"
@@ -243,6 +252,26 @@ class TestSweep:
         assert capsys.readouterr().err == \
             f"error: BGPC_TOL must be nonnegative, got {env!r}\n"
         assert not csv.exists()
+
+    @pytest.mark.parametrize("in_config", [True, False])
+    def test_recovery_at_cutoff_0_fails_trials_not_the_sweep(self, tmp_path,
+                                                            monkeypatch,
+                                                            in_config):
+        # at cutoff 0, sigma_n(G) is a rounding error above 0, so no gamma
+        # fits: each certified trial's recovery is Ambiguous with null dim
+        # 0, a failed trial, and the sweep runs to its end
+        cfg = {"mode": "Subspace", "n": 8, "dim_range": [4, 5],
+               "N_range": [2, 3], "trials": 2, "check_recovery": True}
+        if in_config:
+            cfg["tolerance"] = 0.0
+        else:
+            monkeypatch.setenv("BGPC_TOL", "0")
+        path, csv = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(cfg))
+        assert run("sweep", "--config", str(path), "--csv", str(csv)) == 0
+        rows = [line.split(",") for line in csv.read_text().strip().split("\n")[1:]]
+        assert [(r[2], r[3], r[5], r[6]) for r in rows] == [
+            (dim, N, "2", "0") for dim in "45" for N in "23"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -446,6 +475,26 @@ class TestErrors:
         monkeypatch.setattr(serialize, "load_json", broken)
         with pytest.raises(KeyError, match="rows"):
             run("certify", "--instance", str(tmp_path / "inst.json"))
+
+    def test_every_package_error_has_its_exit_code(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the README's exit code for each error type the package raises; a
+        # new type fails the first assert until it has a code here and a
+        # handler in main, so none can leave main as a traceback
+        codes = {DimensionError: EXIT_INPUT_ERROR,
+                 InfeasibleConstructionError: EXIT_REFUSED,
+                 BudgetExceededError: EXIT_REFUSED}
+
+        def subclasses(cls):
+            return {c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))}
+
+        assert subclasses(BgpcError) == set(codes)
+        for error, code in codes.items():
+            def raising(path, error=error):
+                raise error("raised in the handler")
+            monkeypatch.setattr(serialize, "load_json", raising)
+            assert run("certify", "--instance", str(tmp_path / "i.json")) == code
+            assert capsys.readouterr().err == "error: raised in the handler\n"
 
     def test_negative_tolerance_in_verify_construct(self, tmp_path, capsys,
                                                     svd_calls):

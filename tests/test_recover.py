@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bgpc import (AMBIGUOUS, DEGENERATE_GAMMA, UNIQUE, align_scale, forward,
                   numeric_rank, random_instance, recover, recover_joint_sparse)
 from bgpc.cxmat import SCREEN_SAFETY, clears, default_cutoff
-from bgpc.errors import (BudgetExceededError, DimensionError,
-                         InconsistentSystemError)
+from bgpc.errors import BudgetExceededError, DimensionError
 from bgpc.recover import (EQUIVALENCE_TOL, _degenerate,
                           _gamma_system, _root_screen, _solve_gamma,
                           build_recovery_system)
@@ -87,13 +86,15 @@ class TestRecover:
         assert res.status == UNIQUE
         np.testing.assert_allclose(res.lam * res.gamma, 1.0, atol=1e-8)
 
-    def test_inconsistent_measurements_raise(self):
+    def test_inconsistent_measurements_ambiguous(self):
         # a random Y fits no gamma: G is square and of full rank, and
-        # rank(A) = m leaves no null(A) direction either
+        # rank(A) = m leaves no null(A) direction either; recovery reports
+        # that as recover_joint_sparse does, not as an error
         inst = random_instance(8, 4, 2, seed=2)
         Y = np.random.default_rng(2).standard_normal((8, 2)) + 0j
-        with pytest.raises(InconsistentSystemError, match="trivial null space"):
-            recover(Y, inst.A)
+        res = recover(Y, inst.A)
+        assert (res.status, res.null_dim) == (AMBIGUOUS, 0)
+        assert (res.gamma, res.lam, res.X, res.support) == (None,) * 4
 
     def test_degenerate_gamma(self, degenerate_gamma_pair):
         res = recover(*degenerate_gamma_pair)
@@ -596,12 +597,8 @@ class TestOracleAgreement:
             m = int(rng.integers(2, n))
             inst = random_instance(n, m, 2, seed=int(rng.integers(1 << 31)))
             rep = certify_subspace(inst.A, inst.X0, inst.lambda0)
-            try:
-                res = recover(forward(inst), inst.A)
-                unique_null = res.null_dim == 1
-            except InconsistentSystemError:
-                unique_null = False
-            assert (rep.verdict == IDENTIFIABLE) == unique_null
+            res = recover(forward(inst), inst.A)
+            assert (rep.verdict == IDENTIFIABLE) == (res.null_dim == 1)
             agree += 1
         assert agree == 60
 
@@ -635,3 +632,18 @@ class TestOracleAgreement:
         res = recover_joint_sparse(forward(inst), inst.A, 7)
         assert rep.verdict == NOT_CERTIFIED
         assert (res.status, res.support) == (UNIQUE, inst.support)
+
+    @pytest.mark.parametrize("n, m, s, N", [(16, 14, 5, 2), (16, 14, 6, 3)])
+    def test_joint_sparse_recovery_below_the_threshold(self, n, m, s, N):
+        # one step below ceil((n - 1)/(n - 2s)) = N + 1 the certificate's
+        # full-rank condition fails, yet recovery still returns the planted
+        # support: the two agree one way only
+        from bgpc import (NOT_CERTIFIED, certify_joint_sparse,
+                          min_samples_joint_sparse)
+        assert min_samples_joint_sparse(n, s) == N + 1
+        for seed in range(4):
+            inst = random_instance(n, m, N, seed=seed, sparsity=s)
+            rep = certify_joint_sparse(inst.A, inst.X0, inst.lambda0, s)
+            res = recover_joint_sparse(forward(inst), inst.A, s)
+            assert (rep.verdict, rep.condition1_rank_full) == (NOT_CERTIFIED, False)
+            assert (res.status, res.support) == (UNIQUE, inst.support), seed
